@@ -7,12 +7,13 @@ Four layers:
 * :mod:`logalg.holo` -- disk-holomorphic expression trees and boundary norms
 * :mod:`logalg.witnesses` -- counterexample and completeness constructions
 """
-from .errors import (DomainMismatchError, InvalidParameterError, LogAlgError,
-                     MalformedInputError, SingularityError, StructureError)
-from .holo import (Add, BlaschkeFactor, CircleSample, Div, HoloFunction, Mul,
-                   Polynomial, SafeRational, SingularInner, Sub, boundary_norm,
-                   class_norm, constant, d_N, evaluate, phi_sample, radial_mean,
-                   smirnov_defect)
+from .errors import (DomainMismatchError, InvalidParameterError, InvariantError,
+                     LogAlgError, MalformedInputError, SingularityError,
+                     StructureError)
+from .holo import (Add, Binary, BlaschkeFactor, CircleSample, Div, HoloFunction,
+                   Mul, Polynomial, SafeRational, SingularInner, Sub,
+                   boundary_norm, class_norm, constant, d_N, evaluate,
+                   phi_sample, radial_mean, smirnov_defect)
 from .operators import (MatrixOperator, SpectralSplit, dlog_op, dtau,
                         embed_diagonal, fk_determinant, lognorm_op,
                         measure_above, singular_numbers, spectral_project,

@@ -39,3 +39,9 @@ class StructureError(LogAlgError):
     """Expression tree violates the structural membership rules."""
 
     code = "structure"
+
+
+class InvariantError(LogAlgError):
+    """A computed result failed a check it must pass, such as being finite."""
+
+    code = "invariant-check"

@@ -1,46 +1,23 @@
 """Holomorphic functions on the unit disk, built from Nevanlinna-class atoms.
 
 Expression trees combine polynomials, disk-zero-free rationals, Blaschke
-factors and singular inner exponentials with Add/Sub/Mul/Div.  Division is
-only allowed by products of bounded, zero-free-or-inner atoms, so every
-tree is a ratio of bounded analytic functions.
+factors and singular inner exponentials with Add/Sub/Mul/Div, all of them
+``Binary`` nodes.  Division is only allowed by products of singular inner
+and disk-zero-free atoms, which have no zeros in the disk, so every tree is
+a ratio of bounded analytic functions with a zero-free denominator.
 
 Evaluation is carried in log-polar form (log-modulus, unit phase) so that
 integrands like log(1 + |f|) stay finite even when |f| overflows a double.
 """
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
 from .errors import InvalidParameterError, SingularityError, StructureError
-
-__all__ = [
-    "HoloFunction",
-    "Polynomial",
-    "SafeRational",
-    "BlaschkeFactor",
-    "SingularInner",
-    "Add",
-    "Sub",
-    "Mul",
-    "Div",
-    "constant",
-    "CircleSample",
-    "ClassNormResult",
-    "SmirnovResult",
-    "evaluate",
-    "radial_mean",
-    "boundary_norm",
-    "d_N",
-    "class_norm",
-    "smirnov_defect",
-    "phi_sample",
-    "has_singular_atom",
-    "from_json",
-]
 
 _CHUNK = 1 << 19           # quadrature points evaluated per numpy batch
 _BOUNDARY_GUARD = 1e-13    # distance to z = 1 below which evaluation refuses
@@ -57,26 +34,8 @@ class HoloFunction:
         """
         raise NotImplementedError
 
-    def __add__(self, other):
-        return Add(self, _as_holo(other))
-
-    def __sub__(self, other):
-        return Sub(self, _as_holo(other))
-
-    def __mul__(self, other):
-        return Mul(self, _as_holo(other))
-
-    def __truediv__(self, other):
-        return Div(self, _as_holo(other))
-
     def to_json(self) -> dict:
         raise NotImplementedError
-
-
-def _as_holo(x) -> "HoloFunction":
-    if isinstance(x, HoloFunction):
-        return x
-    return constant(complex(x))
 
 
 def _logpolar_of_values(v: np.ndarray):
@@ -195,57 +154,22 @@ class SingularInner(HoloFunction):
         return {"op": "singular", "s": self.s}
 
 
-def _is_invertible_inner_product(node: HoloFunction) -> bool:
-    """True for products of Blaschke factors, singular inners and zero-free atoms."""
-    if isinstance(node, (BlaschkeFactor, SingularInner)):
+def _is_zero_free(node: HoloFunction) -> bool:
+    """True for products and quotients of singular inners and disk-zero-free atoms.
+
+    Blaschke factors are excluded: each vanishes inside the disk, so
+    dividing by one leaves the Nevanlinna class.
+    """
+    if isinstance(node, SingularInner):
         return True
     if isinstance(node, Polynomial):
         return node.disk_zero_free()
     if isinstance(node, SafeRational):
         return node.numerator.disk_zero_free()
-    if isinstance(node, Mul):
-        return (_is_invertible_inner_product(node.left)
-                and _is_invertible_inner_product(node.right))
-    if isinstance(node, Div):
-        return _is_invertible_inner_product(node.left)
+    if isinstance(node, Binary) and node.op in ("mul", "div"):
+        # a div node's right side already passed this check
+        return _is_zero_free(node.left) and (node.op == "div" or _is_zero_free(node.right))
     return False
-
-
-@dataclass(frozen=True)
-class Mul(HoloFunction):
-    left: HoloFunction
-    right: HoloFunction
-
-    def logpolar(self, z):
-        l1, p1 = self.left.logpolar(z)
-        l2, p2 = self.right.logpolar(z)
-        return l1 + l2, p1 * p2
-
-    def to_json(self):
-        return {"op": "mul", "lhs": self.left.to_json(), "rhs": self.right.to_json()}
-
-
-@dataclass(frozen=True)
-class Div(HoloFunction):
-    left: HoloFunction
-    right: HoloFunction
-
-    def __post_init__(self):
-        if not _is_invertible_inner_product(self.right):
-            raise StructureError(
-                "division is only allowed by products of Blaschke, singular inner "
-                "and disk-zero-free atoms")
-
-    def logpolar(self, z):
-        l1, p1 = self.left.logpolar(z)
-        l2, p2 = self.right.logpolar(z)
-        if np.any(p2 == 0):
-            raise SingularityError(
-                "denominator vanishes at an evaluation point", atom=self.right)
-        return l1 - l2, p1 / p2
-
-    def to_json(self):
-        return {"op": "div", "lhs": self.left.to_json(), "rhs": self.right.to_json()}
 
 
 def _combine_sum(l1, p1, l2, p2, sign):
@@ -256,39 +180,55 @@ def _combine_sum(l1, p1, l2, p2, sign):
     return lm + lv, pv
 
 
+# op -> combination of the operands' log-polar forms (l1, p1), (l2, p2)
+_BINARY_OPS = {
+    "add": lambda l1, p1, l2, p2: _combine_sum(l1, p1, l2, p2, 1.0),
+    "sub": lambda l1, p1, l2, p2: _combine_sum(l1, p1, l2, p2, -1.0),
+    "mul": lambda l1, p1, l2, p2: (l1 + l2, p1 * p2),
+    "div": lambda l1, p1, l2, p2: (l1 - l2, p1 / p2),
+}
+
+
 @dataclass(frozen=True)
-class Add(HoloFunction):
+class Binary(HoloFunction):
+    """left <op> right for op in add, sub, mul, div."""
+
+    op: str
     left: HoloFunction
     right: HoloFunction
+
+    def __post_init__(self):
+        if self.op not in _BINARY_OPS:
+            raise StructureError(f"unknown expression op {self.op!r}")
+        if self.op == "div" and not _is_zero_free(self.right):
+            raise StructureError(
+                "division is only allowed by products of singular inner "
+                "and disk-zero-free atoms")
 
     def logpolar(self, z):
         l1, p1 = self.left.logpolar(z)
         l2, p2 = self.right.logpolar(z)
-        return _combine_sum(l1, p1, l2, p2, 1.0)
+        if self.op == "div" and np.any(p2 == 0):
+            raise SingularityError(
+                "denominator vanishes at an evaluation point", atom=self.right)
+        return _BINARY_OPS[self.op](l1, p1, l2, p2)
 
     def to_json(self):
-        return {"op": "add", "lhs": self.left.to_json(), "rhs": self.right.to_json()}
+        return {"op": self.op, "lhs": self.left.to_json(), "rhs": self.right.to_json()}
 
 
-@dataclass(frozen=True)
-class Sub(HoloFunction):
-    left: HoloFunction
-    right: HoloFunction
-
-    def logpolar(self, z):
-        l1, p1 = self.left.logpolar(z)
-        l2, p2 = self.right.logpolar(z)
-        return _combine_sum(l1, p1, l2, p2, -1.0)
-
-    def to_json(self):
-        return {"op": "sub", "lhs": self.left.to_json(), "rhs": self.right.to_json()}
+# (left, right) constructors for the four ops
+Add = partial(Binary, "add")
+Sub = partial(Binary, "sub")
+Mul = partial(Binary, "mul")
+Div = partial(Binary, "div")
 
 
 def has_singular_atom(f: HoloFunction) -> bool:
     """True if the tree contains a singular inner exponential anywhere."""
     if isinstance(f, SingularInner):
         return True
-    if isinstance(f, (Add, Sub, Mul, Div)):
+    if isinstance(f, Binary):
         return has_singular_atom(f.left) or has_singular_atom(f.right)
     return False
 
@@ -308,9 +248,8 @@ def from_json(obj: dict) -> HoloFunction:
             return BlaschkeFactor.make(complex(obj["a"]["re"], obj["a"].get("im", 0.0)))
         if op == "singular":
             return SingularInner.make(obj["s"])
-        if op in ("add", "sub", "mul", "div"):
-            cls = {"add": Add, "sub": Sub, "mul": Mul, "div": Div}[op]
-            return cls(from_json(obj["lhs"]), from_json(obj["rhs"]))
+        if op in _BINARY_OPS:
+            return Binary(op, from_json(obj["lhs"]), from_json(obj["rhs"]))
     except (KeyError, TypeError, ValueError) as exc:
         raise StructureError(f"bad expression JSON: {exc}") from exc
     raise StructureError(f"unknown expression op {op!r}")
@@ -323,8 +262,12 @@ def evaluate(f: HoloFunction, z: complex) -> complex:
     """Value of f at a single point of the closed disk."""
     if abs(z) > 1 + 1e-12:
         raise InvalidParameterError("evaluation point must satisfy |z| <= 1")
-    logmag, phase = f.logpolar(np.asarray([z], dtype=complex))
-    return complex(np.exp(logmag[0]) * phase[0])
+    with np.errstate(all="ignore"):
+        logmag, phase = f.logpolar(np.asarray([z], dtype=complex))
+        value = complex(np.exp(logmag[0]) * phase[0])
+    if not cmath.isfinite(value):
+        raise InvalidParameterError(f"value at z = {z} overflows a double")
+    return value
 
 
 def _mean_log1p_abs(f: HoloFunction, radius: float, m: int, offset: float) -> float:

@@ -1,8 +1,10 @@
-"""JSON emission with norms printed to 15 significant digits."""
+"""Strict JSON emission with norms printed to 15 significant digits."""
 from __future__ import annotations
 
 import json
 import math
+
+from .errors import InvariantError
 
 
 def _round15(x: float) -> float:
@@ -24,4 +26,8 @@ def _walk(obj):
 
 
 def dumps(obj) -> str:
-    return json.dumps(_walk(obj))
+    """JSON text of obj; a NaN or infinite float raises InvariantError."""
+    try:
+        return json.dumps(_walk(obj), allow_nan=False)
+    except ValueError as exc:
+        raise InvariantError(f"result is not finite: {exc}") from exc

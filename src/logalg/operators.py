@@ -14,20 +14,6 @@ import numpy as np
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
 from .stepfn import SingularStep, StepFunction
 
-__all__ = [
-    "MatrixOperator",
-    "SpectralSplit",
-    "singular_numbers",
-    "lognorm_op",
-    "dlog_op",
-    "dtau",
-    "measure_above",
-    "spectral_project",
-    "split_at",
-    "fk_determinant",
-    "embed_diagonal",
-]
-
 #: singular values below RANK_RTOL * sigma_max are treated as exact zeros
 RANK_RTOL = 1e-12
 
@@ -117,22 +103,31 @@ def _check_dims(a: MatrixOperator, b: MatrixOperator) -> None:
         raise DomainMismatchError(f"matrix size mismatch: {a.n} vs {b.n}")
 
 
-def _svals(T: MatrixOperator) -> np.ndarray:
-    """Singular values, nonincreasing, with tiny ones flushed to zero."""
-    s = np.linalg.svd(T.entries, compute_uv=False)
+def _svd(T: MatrixOperator, vectors: bool = False):
+    """Nonincreasing singular values, tiny ones flushed to zero, and vh if vectors else None."""
+    if vectors:
+        _, s, vh = np.linalg.svd(T.entries)
+    else:
+        s, vh = np.linalg.svd(T.entries, compute_uv=False), None
     if s.size and s[0] > 0:
         s = np.where(s < RANK_RTOL * s[0], 0.0, s)
-    return s
+    return s, vh
 
 
 def singular_numbers(T: MatrixOperator) -> SingularStep:
     """Singular values as a step function on (0, 1]: each carries width 1/n."""
-    return SingularStep.make([(1.0 / T.n, float(s)) for s in _svals(T)])
+    return SingularStep.make([(1.0 / T.n, float(s)) for s in _svd(T)[0]])
 
 
 def lognorm_op(T: MatrixOperator) -> float:
-    """tau(log(1 + |T|)) = (1/n) sum of log(1 + sigma_i)."""
-    return float(np.log1p(_svals(T)).sum()) / T.n
+    """tau(log(1 + |T|)) = (1/n) sum of log(1 + sigma_i).
+
+    A nonzero T whose trace underflows gets the smallest positive double,
+    so that lognorm_op(T) = 0 only for T = 0.
+    """
+    s = _svd(T)[0]
+    total = float(np.log1p(s).sum()) / T.n
+    return math.ulp(0.0) if total == 0.0 and s.any() else total
 
 
 def dlog_op(S: MatrixOperator, T: MatrixOperator) -> float:
@@ -143,7 +138,7 @@ def measure_above(T: MatrixOperator, delta: float) -> float:
     """tau of the spectral projection of |T| onto [delta, inf)."""
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    return float(np.count_nonzero(_svals(T) >= delta)) / T.n
+    return float(np.count_nonzero(_svd(T)[0] >= delta)) / T.n
 
 
 def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
@@ -152,11 +147,13 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
     The series sum_{k>=1} 2^{-k} tau(E_{|A-B|}([1/k, inf))) collapses: a
     singular value sigma > 0 enters every term with 1/k <= sigma, so it
     contributes (1/n) 2^{1-k0} where k0 is the smallest such k.
+    Below sigma = 2^-11, k0 >= 2^11 and that contribution underflows to
+    0.0, so such values are skipped before 1/sigma can overflow.
     """
     _check_dims(A, B)
     total = 0.0
-    for sigma in _svals(A - B):
-        if sigma <= 0:
+    for sigma in _svd(A - B)[0]:
+        if sigma < 2.0 ** -11:
             continue
         k0 = max(1, math.ceil(1.0 / sigma))
         # align the integer threshold with the float membership test 1/k <= sigma
@@ -170,9 +167,7 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
 
 def _right_singular_projector(T: MatrixOperator, member) -> np.ndarray:
     """Projection onto the right-singular vectors whose sigma satisfies member()."""
-    _, s, vh = np.linalg.svd(T.entries)
-    if s.size and s[0] > 0:
-        s = np.where(s < RANK_RTOL * s[0], 0.0, s)
+    s, vh = _svd(T, vectors=True)
     rows = vh[[bool(member(float(x))) for x in s], :]
     return rows.conj().T @ rows
 
@@ -201,7 +196,7 @@ def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
 
 def fk_determinant(T: MatrixOperator) -> float:
     """exp(tau(log |T|)): the geometric mean of the singular values."""
-    s = _svals(T)
+    s = _svd(T)[0]
     if np.any(s == 0.0):
         return 0.0
     return float(math.exp(np.log(s).sum() / T.n))

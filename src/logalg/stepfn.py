@@ -10,27 +10,11 @@ an F-norm whose induced translation-invariant metric is ``dlog``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
-
-__all__ = [
-    "StepFunction",
-    "SingularStep",
-    "lognorm",
-    "l1norm",
-    "dlog",
-    "pointwise",
-    "scale",
-    "restrict",
-    "orlicz_fnorm",
-    "truncate",
-    "approximate_in_l1",
-    "decreasing_rearrangement",
-]
-
-_MERGE_TOL = 0.0  # piece values are merged only on exact equality
 
 
 @dataclass(frozen=True)
@@ -86,9 +70,6 @@ class StepFunction:
 
     def support_measure(self) -> float:
         return sum(r - l for l, r, _ in self.pieces)
-
-    def sup_abs(self) -> float:
-        return max((abs(v) for _, _, v in self.pieces), default=0.0)
 
     def is_zero(self) -> bool:
         return not self.pieces
@@ -178,26 +159,17 @@ class SingularStep:
     def to_json(self) -> dict:
         return {"steps": [{"w": w, "h": h} for w, h in self.steps]}
 
-    @staticmethod
-    def from_json(obj: dict) -> "SingularStep":
-        try:
-            steps = [(s["w"], s["h"]) for s in obj["steps"]]
-        except (KeyError, TypeError) as exc:
-            raise MalformedInputError(f"bad SingularStep JSON: {exc}") from exc
-        return SingularStep.make(steps)
-
 
 # ---------------------------------------------------------------------------
 # refinement machinery
 
-def _refine(f: StepFunction, g: StepFunction):
-    """Merged breakpoint refinement of the supports of f and g.
+def _refine(fns: Sequence[StepFunction]):
+    """Merged breakpoint refinement of the supports of fns.
 
-    Yields (left, right, f_value, g_value) over every interval where at
-    least one of the two is nonzero.
+    Yields (left, right, values) over every interval where at least one
+    function is nonzero, values holding each function's value there.
     """
-    breaks = sorted({x for l, r, _ in f.pieces for x in (l, r)}
-                    | {x for l, r, _ in g.pieces for x in (l, r)})
+    breaks = sorted({x for fn in fns for l, r, _ in fn.pieces for x in (l, r)})
 
     def value_at(fn: StepFunction, left: float) -> complex:
         for l, r, v in fn.pieces:
@@ -206,7 +178,7 @@ def _refine(f: StepFunction, g: StepFunction):
         return 0j
 
     for a, b in zip(breaks, breaks[1:]):
-        yield a, b, value_at(f, a), value_at(g, a)
+        yield a, b, [value_at(fn, a) for fn in fns]
 
 
 def _check_same_space(f: StepFunction, g: StepFunction) -> None:
@@ -219,26 +191,29 @@ def _check_same_space(f: StepFunction, g: StepFunction) -> None:
 # core functionals
 
 def lognorm(f: StepFunction) -> float:
-    """F-norm: integral of log(1 + |f|)."""
-    return sum((r - l) * math.log1p(abs(v)) for l, r, v in f.pieces)
+    """F-norm: integral of log(1 + |f|).
+
+    A nonzero f whose integral underflows gets the smallest positive
+    double, so that lognorm(f) = 0 only for f = 0.
+    """
+    total = sum((r - l) * math.log1p(abs(v)) for l, r, v in f.pieces)
+    return math.ulp(0.0) if total == 0.0 and f.pieces else total
 
 
 def l1norm(f: StepFunction) -> float:
     return sum((r - l) * abs(v) for l, r, v in f.pieces)
 
 
+_COMBINE = {"add": operator.add, "sub": operator.sub, "mul": operator.mul}
+
+
 def pointwise(f: StepFunction, g: StepFunction, op: str) -> StepFunction:
     """Pointwise add/sub/mul on the merged breakpoint refinement."""
     _check_same_space(f, g)
-    if op == "add":
-        combine = lambda a, b: a + b
-    elif op == "sub":
-        combine = lambda a, b: a - b
-    elif op == "mul":
-        combine = lambda a, b: a * b
-    else:
+    combine = _COMBINE.get(op)
+    if combine is None:
         raise InvalidParameterError(f"unknown pointwise op {op!r}")
-    pieces = [(l, r, combine(fv, gv)) for l, r, fv, gv in _refine(f, g)]
+    pieces = [(l, r, combine(fv, gv)) for l, r, (fv, gv) in _refine((f, g))]
     return StepFunction.make(pieces, f.total_measure)
 
 

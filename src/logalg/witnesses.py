@@ -10,19 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidParameterError
-from .stepfn import (StepFunction, dlog, lognorm, pointwise, restrict, scale,
-                     truncate)
-
-__all__ = [
-    "UnboundednessWitness",
-    "ConvexSplit",
-    "SeparationSequence",
-    "CauchyReport",
-    "unboundedness_witness",
-    "convex_split",
-    "separation_sequence",
-    "cauchy_limit",
-]
+from .stepfn import (StepFunction, _refine, dlog, lognorm, pointwise, restrict,
+                     scale)
 
 
 @dataclass(frozen=True)
@@ -87,6 +76,12 @@ class ConvexSplit:
         for p in self.pieces:
             acc = pointwise(acc, p, "add")
         return scale(acc, 1.0 / self.n)
+
+    def verify(self, f: StepFunction) -> bool:
+        """Re-check against f: every piece has norm lognorm(n f)/n and they average to f."""
+        target = lognorm(scale(f, self.n)) / self.n
+        return all(abs(lognorm(p) - target) < 1e-12 for p in self.pieces) \
+            and dlog(self.average(), f) < 1e-12
 
     def to_json(self) -> dict:
         return {"n": self.n, "breakpoints": list(self.breakpoints),
@@ -192,7 +187,7 @@ class CauchyReport:
     distances: tuple
     is_cauchy: bool
     gap: float                 # last successive distance when not Cauchy
-    limit_distance: float      # dlog from the last term to the extracted limit
+    limit_distance: float | None  # dlog from the last term to the limit; None if not Cauchy
 
 
 def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
@@ -202,17 +197,8 @@ def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
     extrapolation of the last three values is used, which is exact for
     the truncation- and geometric-type sequences this targets.
     """
-    breaks = sorted({x for f in seq for l, r, _ in f.pieces for x in (l, r)})
-
-    def value_at(fn: StepFunction, x: float) -> complex:
-        for l, r, v in fn.pieces:
-            if l <= x < r:
-                return v
-        return 0j
-
     pieces = []
-    for a, b in zip(breaks, breaks[1:]):
-        values = [value_at(f, a) for f in seq]
+    for a, b, values in _refine(seq):
         v = values[-1]
         if len(values) >= 3:
             d1 = values[-1] - values[-2]
@@ -247,7 +233,7 @@ def cauchy_limit(seq, tol: float):
     distances = [dlog(a, b) for a, b in zip(seq, seq[1:])]
     is_cauchy = any(sum(distances[j:]) < tol for j in range(len(distances)))
     if not is_cauchy:
-        report = CauchyReport(tuple(distances), False, distances[-1], math.nan)
+        report = CauchyReport(tuple(distances), False, distances[-1], None)
         return seq[-1], report
     limit = _piecewise_limit(seq)
     report = CauchyReport(tuple(distances), True, 0.0, dlog(seq[-1], limit))

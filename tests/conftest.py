@@ -1,24 +1,8 @@
 import numpy as np
 import pytest
 
-from logalg import MatrixOperator, StepFunction
-
-
-def make_random_step(rng, total_measure=1.0, max_pieces=6, scale=10.0):
-    k = int(rng.integers(0, max_pieces + 1))
-    cuts = np.sort(rng.uniform(0, total_measure, size=2 * k))
-    pieces = []
-    for i in range(k):
-        l, r = cuts[2 * i], cuts[2 * i + 1]
-        if r <= l:
-            continue
-        pieces.append((l, r, complex(rng.normal(0, scale), rng.normal(0, scale))))
-    return StepFunction.make(pieces, total_measure)
-
-
-def make_random_matrix(rng, n, scale=3.0):
-    a = rng.normal(0, scale, (n, n)) + 1j * rng.normal(0, scale, (n, n))
-    return MatrixOperator.make(a)
+from logalg.selftest import random_matrix as make_random_matrix  # noqa: F401
+from logalg.selftest import random_step as make_random_step  # noqa: F401
 
 
 @pytest.fixture

@@ -1,191 +1,51 @@
 """Acceptance gate: one test per criterion, each printing a pass line.
 
-Run with `pytest tests/test_acceptance.py -s` to see the per-criterion
-status lines.
+Every criterion runs the checks of `logalg.selftest.CRITERIA` at the gate's
+sizes below, on a generator seeded with the criterion's number.  Run with
+`pytest tests/test_acceptance.py -s` to see the per-criterion status lines.
 """
-import math
-
 import numpy as np
-import pytest
 
-import logalg as la
-from logalg.holo import has_singular_atom
-from logalg.selftest import nevanlinna_corpus
-from conftest import make_random_matrix, make_random_step
+from logalg import selftest
 
-SLACK = 1e-10
+GATE = selftest.Sizes(step_trials=10_000, trials=1_000, radial_k=20, smirnov_tol=1e-4)
 
 
-def _report(num, name):
+def _gate(num):
+    name, checks = selftest.CRITERIA[num - 1]
+    rng = np.random.default_rng(num)
+    for check in checks:
+        check.run(rng, GATE)
     print(f"[acceptance] criterion {num} ({name}): pass")
 
 
-def _scale_to_lognorm(f, target):
-    lo, hi = 0.0, 1.0
-    while la.lognorm(la.scale(f, hi)) < target:
-        hi *= 2
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if la.lognorm(la.scale(f, mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 def test_criterion_1_fnorm_axioms():
-    rng = np.random.default_rng(1)
-    for _ in range(10_000):
-        f = make_random_step(rng)
-        g = make_random_step(rng)
-        nf, ng = la.lognorm(f), la.lognorm(g)
-        assert nf >= 0 and (f.is_zero() or nf > 0)
-        alpha = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        assert la.lognorm(la.scale(f, alpha)) <= nf + SLACK
-        assert la.lognorm(la.pointwise(f, g, "add")) <= nf + ng + SLACK
-    for _ in range(1_000):
-        n = int(rng.integers(2, 9))
-        S = make_random_matrix(rng, n)
-        T = make_random_matrix(rng, n)
-        nS, nT = la.lognorm_op(S), la.lognorm_op(T)
-        assert nT > 0
-        assert abs(la.lognorm_op(T.adjoint()) - nT) <= SLACK
-        alpha = rng.uniform(0, 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
-        assert la.lognorm_op(T.scaled(alpha)) <= nT + SLACK
-        assert la.lognorm_op(S + T) <= nS + nT + SLACK
-    _report(1, "F-norm axioms")
+    _gate(1)
 
 
 def test_criterion_2_multiplication_bounds():
-    rng = np.random.default_rng(2)
-    for _ in range(10_000):
-        f = make_random_step(rng)
-        g = make_random_step(rng)
-        assert la.lognorm(la.pointwise(f, g, "mul")) <= \
-            la.lognorm(f) + la.lognorm(g) + SLACK
-    for _ in range(1_000):
-        n = int(rng.integers(2, 9))
-        S = make_random_matrix(rng, n)
-        T = make_random_matrix(rng, n)
-        nS, nT = la.lognorm_op(S), la.lognorm_op(T)
-        ST = S @ T
-        assert la.lognorm_op(ST) <= nS + nT + SLACK
-        assert la.lognorm_op(ST) <= max(S.operator_norm(), 1.0) * nT + SLACK
-        muS = [h for _, h in la.singular_numbers(S).steps]
-        muT = [h for _, h in la.singular_numbers(T).steps]
-        product_bound = sum(math.log1p(a * b) for a, b in zip(muS, muT)) / n
-        assert la.lognorm_op(ST) <= product_bound + SLACK
-        assert la.lognorm_op(S + T) <= nS + nT + SLACK
-    _report(2, "multiplication bounds")
+    _gate(2)
 
 
 def test_criterion_3_orlicz_equivalence():
-    rng = np.random.default_rng(3)
-    count = 0
-    while count < 1_000:
-        f = make_random_step(rng)
-        if f.is_zero():
-            continue
-        N = 2 + count % 9
-        fs = la.scale(f, _scale_to_lognorm(f, 1.0 / N ** 2))
-        assert la.lognorm(fs) == pytest.approx(1.0 / N ** 2, abs=1e-13)
-        phi = la.orlicz_fnorm(fs)
-        assert phi < 1.0 / N
-        if phi < 1:
-            assert la.lognorm(fs) <= phi + 1e-10
-        count += 1
-    _report(3, "Orlicz equivalence")
+    _gate(3)
 
 
 def test_criterion_4_embedding_consistency():
-    rng = np.random.default_rng(4)
-    for _ in range(1_000):
-        p = int(rng.integers(0, 5))
-        n = 2 ** p
-        k = int(rng.integers(0, n + 1))
-        pieces = [(i / n, (i + 1) / n,
-                   complex(rng.normal(0, 5), rng.normal(0, 5)))
-                  for i in range(k)]
-        f = la.StepFunction.make(pieces, 1.0)
-        D = la.embed_diagonal(f, n)
-        assert abs(la.lognorm_op(D) - la.lognorm(f)) <= 1e-12
-        assert la.singular_numbers(D).approx_eq(la.decreasing_rearrangement(f))
-    _report(4, "diagonal embedding consistency")
+    _gate(4)
 
 
 def test_criterion_5_dtau_correctness():
-    rng = np.random.default_rng(5)
-    for _ in range(1_000):
-        n = int(rng.integers(1, 9))
-        A = make_random_matrix(rng, n)
-        B = make_random_matrix(rng, n)
-        # independent partial series straight from an SVD of the difference
-        sigma = np.linalg.svd(A.entries - B.entries, compute_uv=False)
-        series = sum(2.0 ** (-k) * np.count_nonzero(sigma >= 1.0 / k) / n
-                     for k in range(1, 61))
-        assert abs(la.dtau(A, B) - series) <= 2.0 ** -60 + 1e-12
-        for delta in (0.1, 1.0, 10.0):
-            assert la.measure_above(A, delta) <= \
-                la.lognorm_op(A.scaled(3.0 / delta)) + SLACK
-    _report(5, "measure-topology metric")
+    _gate(5)
 
 
 def test_criterion_6_nevanlinna_suite():
-    corpus = nevanlinna_corpus()
-    blaschke_like = [
-        la.BlaschkeFactor.make(0.5),
-        la.BlaschkeFactor.make(0.3 - 0.4j),
-        la.BlaschkeFactor.make(-0.85),
-        la.Mul(la.BlaschkeFactor.make(0.5), la.BlaschkeFactor.make(-0.2j)),
-        la.Mul(la.Mul(la.BlaschkeFactor.make(0.1), la.BlaschkeFactor.make(0.6j)),
-               la.BlaschkeFactor.make(-0.4)),
-    ]
-    for f in blaschke_like:
-        assert la.boundary_norm(f, 4096) == pytest.approx(math.log(2), abs=1e-6)
-
-    for f in corpus:
-        means = [la.radial_mean(f, 1 - 2.0 ** -k, 4096) for k in range(1, 21)]
-        assert all(b >= a - 1e-9 for a, b in zip(means, means[1:]))
-
-    for f in [g for g in corpus if not has_singular_atom(g)]:
-        assert la.smirnov_defect(f).defect <= 1e-4
-
-    res = la.smirnov_defect(la.Div(la.constant(1), la.SingularInner.make(1.0)))
-    assert res.defect >= 0.5
-    assert not res.is_smirnov
-    _report(6, "Nevanlinna suite")
+    _gate(6)
 
 
 def test_criterion_7_witness_suite():
-    for eps in (0.1, 1.0):
-        for N in (2, 10):
-            assert la.unboundedness_witness(eps, N).verify()
-
-    one = la.StepFunction.make([(0, 1, 1.0)], 1.0)
-    split = la.convex_split(one, 0.1)
-    assert split.n == 37
-    assert all(la.lognorm(p) < 0.1 for p in split.pieces)
-    assert la.dlog(split.average(), one) == 0.0
-
-    seq = [la.separation_sequence(k) for k in range(1, 21)]
-    for a, b in zip(seq, seq[1:]):
-        assert b.support_measure < a.support_measure
-        assert b.lognorm_value > a.lognorm_value
-    assert seq[-1].support_measure == pytest.approx(0.05)
-    assert seq[-1].lognorm_value >= 20.0
-    _report(7, "witness suite")
+    _gate(7)
 
 
 def test_criterion_8_completeness_mechanics():
-    base = la.StepFunction.make([(0, 0.5, 2.0), (0.5, 1.0, 40.0)], 1.0)
-    truncations = [la.truncate(base, 2.0 ** k) for k in range(0, 9)]
-    limit, report = la.cauchy_limit(truncations, 1e-9)
-    assert report.is_cauchy
-    assert limit == base
-
-    one = la.StepFunction.make([(0, 1, 1.0)], 1.0)
-    alternating = [la.StepFunction.zero(1.0), one] * 4
-    _, report = la.cauchy_limit(alternating, 1e-9)
-    assert not report.is_cauchy
-    assert abs(report.gap - math.log(2)) <= 1e-12
-    _report(8, "completeness mechanics")
+    _gate(8)

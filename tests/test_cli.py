@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from logalg import StepFunction, lognorm, orlicz_fnorm
+from logalg import InvariantError, StepFunction, jsonio, lognorm, orlicz_fnorm, selftest
 from logalg.cli import main
 
 E = math.e
@@ -179,7 +179,69 @@ def test_norm_round_trip_15_digits(capsys):
     assert emitted == pytest.approx(exact, rel=1e-14)
 
 
+def strict_loads(text):
+    def refuse(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+    return json.loads(text, parse_constant=refuse)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_nev_eval_overflow_refused(capsys):
+    expr = json.dumps({"op": "poly", "coeffs": [{"re": 1e308, "im": 0},
+                                                {"re": 1e308, "im": 0}]})
+    code, out, err = run(capsys, "nev-eval", "--input", expr, "--re", "1")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-parameter")
+    assert all(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_cauchy_not_cauchy_emits_strict_json(capsys):
+    one = StepFunction.make([(0, 1, 1.0)], 1.0).to_json()
+    zero = StepFunction.zero(1.0).to_json()
+    code, out, _ = run(capsys, "cauchy", "--input", json.dumps([zero, one] * 2))
+    assert code == 0
+    res = strict_loads(out)
+    assert res["is_cauchy"] is False
+    assert res["limit_distance"] is None
+
+
+def test_emission_refuses_non_finite():
+    with pytest.raises(InvariantError):
+        jsonio.dumps({"x": [1.0, math.nan]})
+    with pytest.raises(InvariantError):
+        jsonio.dumps({"x": complex(math.inf, 0)})
+
+
+def test_witness_nonconvex_requires_input(capsys):
+    code, out, err = run(capsys, "witness", "nonconvex")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: invalid-parameter")
+
+
+def test_missing_input_file_named(capsys):
+    code, _, err = run(capsys, "norm", "--input", "/no/such/file.json")
+    assert code == 2
+    assert err.startswith("error: malformed-input")
+    assert "/no/such/file.json" in err
+
+
 def test_selftest_verb(capsys):
     code, out, _ = run(capsys, "selftest", "--seed", "3", "--trials", "25")
     assert code == 0
-    assert "all suites passed" in out
+    lines = out.splitlines()
+    names = [check.name for _, checks in selftest.CRITERIA for check in checks]
+    assert lines == [f"[selftest] pass: {name}" for name in names] + \
+        ["[selftest] all suites passed"]
+
+
+def test_selftest_names_a_failing_check(capsys, monkeypatch):
+    # a separation "sequence" that stays at k = 1 fails exactly one registry check
+    first = selftest.witnesses.separation_sequence(1)
+    monkeypatch.setattr(selftest.witnesses, "separation_sequence", lambda k: first)
+    code, out, err = run(capsys, "selftest", "--seed", "0", "--trials", "2")
+    assert code == 1
+    assert "[selftest] FAIL: separation sequence: " in out
+    assert sum(line.startswith("[selftest] FAIL") for line in out.splitlines()) == 1
+    assert err == "error: invariant-check: selftest failed: separation sequence\n"

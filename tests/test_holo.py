@@ -53,9 +53,20 @@ def test_division_structure_enforced():
 
 
 def test_division_by_inner_products_allowed():
-    f = Div(constant(1), Mul(BlaschkeFactor.make(0.5), SingularInner.make(0.5)))
+    f = Div(constant(1), Mul(Polynomial.make([2, 1]), SingularInner.make(0.5)))
     v = evaluate(f, 0.2)
     assert cmath.isfinite(v)
+
+
+def test_division_by_blaschke_factor_rejected():
+    # 1/z has a pole at the origin, so it is not in the Nevanlinna class
+    with pytest.raises(StructureError):
+        Div(constant(1), BlaschkeFactor.make(0))
+    with pytest.raises(StructureError):
+        Div(constant(1), Mul(SingularInner.make(0.5), BlaschkeFactor.make(0.5)))
+    with pytest.raises(StructureError):
+        from_json({"op": "div", "lhs": constant(1).to_json(),
+                   "rhs": BlaschkeFactor.make(0).to_json()})
 
 
 def test_arithmetic_matches_pointwise_evaluation():
@@ -70,8 +81,9 @@ def test_arithmetic_matches_pointwise_evaluation():
 
 def test_json_round_trip():
     f = Div(Add(Polynomial.make([1, 2j]), BlaschkeFactor.make(0.1)),
-            Mul(SingularInner.make(0.7), BlaschkeFactor.make(-0.2j)))
+            Mul(SingularInner.make(0.7), SafeRational.make([3, 1j], [1, 0.5])))
     g = from_json(f.to_json())
+    assert g == f and g.to_json() == f.to_json()
     for z in (0.0, 0.3 + 0.4j, -0.5):
         assert evaluate(g, z) == pytest.approx(evaluate(f, z))
 

@@ -60,6 +60,13 @@ def test_lognorm_op_nilpotent():
         0.5 * math.log(3), abs=1e-14)
 
 
+def test_lognorm_op_positive_when_trace_underflows():
+    # (1/3) log(1 + 5e-324) rounds to 0.0, yet T is not the zero matrix
+    T = diag(5e-324, 0, 0)
+    assert lognorm_op(T) > 0
+    assert dlog_op(T, MatrixOperator.zero(3)) > 0
+
+
 def test_lognorm_matches_singular_step_integral(rng):
     for _ in range(50):
         T = make_random_matrix(rng, int(rng.integers(1, 9)))
@@ -94,6 +101,12 @@ def test_dtau_unit_difference():
 
 def test_dtau_small_difference():
     assert dtau(diag(0.4, 0.4), MatrixOperator.zero(2)) == pytest.approx(0.25)
+
+
+def test_dtau_tiny_difference_underflows_to_zero():
+    # 1/sigma overflows here; the term 2^(1-k0)/n is 0.0 for every sigma < 2^-11
+    assert dtau(diag(1e-310, 1e-310), MatrixOperator.zero(2)) == 0.0
+    assert dtau(diag(1e-5, 0.4), MatrixOperator.zero(2)) == pytest.approx(0.125)
 
 
 def test_dtau_matches_series(rng):

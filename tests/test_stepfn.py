@@ -61,6 +61,13 @@ def test_lognorm_half_interval():
     assert lognorm(sf((0, 0.5, 3))) == pytest.approx(math.log(2), abs=1e-15)
 
 
+def test_lognorm_positive_when_integral_underflows():
+    # 5e-324 * log(1.5) rounds to 0.0, yet f is not the zero function
+    f = sf((0, 5e-324, 0.5), total=1.0)
+    assert lognorm(f) > 0
+    assert dlog(f, StepFunction.zero(1.0)) > 0
+
+
 def test_dlog_examples():
     f = sf((0, 1, 1))
     g = sf((0, 1, 3))
@@ -261,8 +268,8 @@ def test_rearrangement_preserves_lognorm(f):
 
 def test_multiplication_continuity_along_truncation(rng):
     from conftest import make_random_step
-    f = make_random_step(rng, scale=30.0)
-    g = make_random_step(rng, scale=30.0)
+    f = make_random_step(rng, max_scale=30.0)
+    g = make_random_step(rng, max_scale=30.0)
     fg = pointwise(f, g, "mul")
     dists = []
     for k in range(0, 12):

@@ -83,6 +83,13 @@ def test_convex_split_piece_norms_balanced():
     assert dlog(split.average(), f) <= 1e-15
 
 
+def test_convex_split_verify():
+    f = StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0)
+    split = convex_split(f, 0.3)
+    assert split.verify(f)
+    assert not split.verify(scale(f, 2))
+
+
 def test_convex_split_requires_unit_measure():
     with pytest.raises(InvalidParameterError):
         convex_split(StepFunction.make([(0, 1, 1)], 2.0), 0.1)
@@ -135,6 +142,7 @@ def test_cauchy_alternating_rejected():
     _, report = cauchy_limit(alt, 1e-6)
     assert not report.is_cauchy
     assert report.gap == pytest.approx(math.log(2), abs=1e-12)
+    assert report.limit_distance is None
 
 
 def test_cauchy_geometric_sequence_extrapolates():
