@@ -239,13 +239,15 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         args.fn(args)
-    except InvariantError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 1
+        return 0
     except LogAlgError as exc:
-        print(f"error: {exc.code}: {exc}", file=sys.stderr)
-        return 2
-    return 0
+        err = exc
+    except RecursionError:  # only input trees recurse
+        err = MalformedInputError("input nests too deeply")
+    except MemoryError:
+        err = InvalidParameterError("the result does not fit in memory")
+    print(f"error: {err.code}: {err}", file=sys.stderr)
+    return 1 if isinstance(err, InvariantError) else 2
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ integrands like log(1 + |f|) stay finite even when |f| overflows a double.
 """
 from __future__ import annotations
 
-import cmath
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -54,14 +54,15 @@ class Polynomial(HoloFunction):
     def make(coeffs) -> "Polynomial":
         return Polynomial(tuple(complex(c) for c in coeffs))
 
-    def values(self, z):
+    def logpolar(self, z):
+        # Horner on coeffs / max |coeff|, its log added back: no overflow for |z| <= 1
+        top = max(map(abs, self.coeffs), default=0.0) or 1.0
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in reversed(self.coeffs):
-            acc = acc * z + c
-        return acc
-
-    def logpolar(self, z):
-        return _logpolar_of_values(self.values(z))
+            acc = acc * z + c / top
+        logmag, phase = _logpolar_of_values(acc)
+        logmag += math.log(top)
+        return logmag, phase
 
     def disk_zero_free(self) -> bool:
         cs = np.trim_zeros(np.asarray(self.coeffs, dtype=complex), "b")
@@ -258,46 +259,74 @@ def from_json(obj: dict) -> HoloFunction:
 # ---------------------------------------------------------------------------
 # evaluation and quadrature
 
+def _refuse_overflow(ok: np.ndarray, start: int = 0) -> None:
+    if not ok.all():
+        raise InvalidParameterError(
+            f"value overflows a double at grid point index {start + int(np.argmin(ok))}")
+
+
+def _checked_logpolar(f: HoloFunction, z: np.ndarray, start: int = 0):
+    """Warning-free f.logpolar(z) refusing NaN or +inf log-moduli; z[0] is grid point start."""
+    with np.errstate(all="ignore"):
+        logmag, phase = f.logpolar(z)
+    _refuse_overflow(logmag < np.inf, start)  # False exactly at NaN and +inf
+    return logmag, phase
+
+
+def _values(f: HoloFunction, z: np.ndarray) -> np.ndarray:
+    """Values of f at the points z, refused if any of them overflows a double."""
+    logmag, phase = _checked_logpolar(f, z)
+    with np.errstate(all="ignore"):
+        vals = np.exp(logmag) * phase
+    _refuse_overflow(np.isfinite(vals))
+    return vals
+
+
 def evaluate(f: HoloFunction, z: complex) -> complex:
     """Value of f at a single point of the closed disk."""
     if abs(z) > 1 + 1e-12:
         raise InvalidParameterError("evaluation point must satisfy |z| <= 1")
-    with np.errstate(all="ignore"):
-        logmag, phase = f.logpolar(np.asarray([z], dtype=complex))
-        value = complex(np.exp(logmag[0]) * phase[0])
-    if not cmath.isfinite(value):
-        raise InvalidParameterError(f"value at z = {z} overflows a double")
-    return value
+    return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
 
 def _mean_log1p_abs(f: HoloFunction, radius: float, m: int, offset: float) -> float:
     """Equal-weight circle quadrature of log(1 + |f|), chunked for memory."""
+    if m < 16:
+        raise InvalidParameterError("grid size must be at least 16")
     total = 0.0
     for start in range(0, m, _CHUNK):
         j = np.arange(start, min(start + _CHUNK, m), dtype=float)
         z = radius * np.exp(2j * np.pi * (j + offset) / m)
-        logmag, _ = f.logpolar(z)
-        if np.any(np.isposinf(logmag)) or np.any(np.isnan(logmag)):
-            bad = int(np.argmax(~np.isfinite(logmag)))
-            raise SingularityError(
-                f"non-finite value at grid point index {start + bad}", atom=f)
+        logmag, _ = _checked_logpolar(f, z, start)
         total += float(np.logaddexp(0.0, logmag).sum())
     return total / m
+
+
+def _settled_mean(f: HoloFunction, radius: float, offset: float, m: int,
+                  m_max: int, tol: float):
+    """Circle mean of log(1 + |f|), doubling m until it moves by less than tol/4.
+
+    Returns (mean, next_m): next_m is the coarser grid of the settled pair,
+    or m_max if the grid budget ran out first.
+    """
+    v = _mean_log1p_abs(f, radius, m, offset)
+    while m < m_max:
+        v2 = _mean_log1p_abs(f, radius, 2 * m, offset)
+        if abs(v2 - v) < tol / 4:
+            return v2, m
+        v, m = v2, 2 * m
+    return v, m
 
 
 def radial_mean(f: HoloFunction, r: float, m: int) -> float:
     """Periodic trapezoid approximation of the circle mean of log(1 + |f|) at radius r."""
     if not 0 <= r < 1:
         raise InvalidParameterError("radius must lie in [0, 1)")
-    if m < 16:
-        raise InvalidParameterError("grid size must be at least 16")
     return _mean_log1p_abs(f, r, m, offset=0.0)
 
 
 def boundary_norm(f: HoloFunction, m: int) -> float:
     """Circle mean of log(1 + |f|) on the half-step offset boundary grid."""
-    if m < 16:
-        raise InvalidParameterError("grid size must be at least 16")
     return _mean_log1p_abs(f, 1.0, m, offset=0.5)
 
 
@@ -314,38 +343,27 @@ class ClassNormResult:
     means: tuple
 
 
-def class_norm(f: HoloFunction, tol: float, *, k_max: int = 17,
-               m_start: int = 64, m_max: int = 1 << 22) -> ClassNormResult:
-    """Supremum over r < 1 of the radial means, along r_k = 1 - 2^-k.
+def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
+    """Supremum over r < 1 of the radial means, along r_k = 1 - 2^-k, k <= 17.
 
-    Each radial mean is grid-refined until doubling changes it by less
-    than tol/4 (capped at m_max points).  The sweep stops, converged,
-    once an r-increment falls below tol; if the radius or grid budget is
-    exhausted first the running supremum is returned flagged unconverged.
-    It is a valid lower bound either way, the means being nondecreasing in r.
+    Each radial mean is grid-refined from 64 points until doubling changes
+    it by less than tol/4 (capped at 2^22 points).  The sweep stops,
+    converged, once an r-increment falls below tol; if the radius or grid
+    budget is exhausted first the running supremum is returned flagged
+    unconverged.  It is a valid lower bound either way, the means being
+    nondecreasing in r.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    radii = []
-    means = []
-    m = m_start
-    prev = None
-    for k in range(1, k_max + 1):
+    radii, means = [], []
+    m = 64
+    for k in range(1, 18):
         r = 1.0 - 2.0 ** (-k)
-        v = radial_mean(f, r, m)
-        while m < m_max:
-            m *= 2
-            v2 = radial_mean(f, r, m)
-            done = abs(v2 - v) < tol / 4
-            v = v2
-            if done:
-                m //= 2  # reuse the settled grid as the next starting point
-                break
+        v, m = _settled_mean(f, r, 0.0, m, 1 << 22, tol)
         radii.append(r)
         means.append(v)
-        if prev is not None and abs(v - prev) < tol:
+        if k > 1 and abs(v - means[-2]) < tol:
             return ClassNormResult(max(means), True, tuple(radii), tuple(means))
-        prev = v
     return ClassNormResult(max(means), False, tuple(radii), tuple(means))
 
 
@@ -366,15 +384,7 @@ def smirnov_defect(f: HoloFunction, tol: float = 1e-4) -> SmirnovResult:
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    m = 1024
-    b = boundary_norm(f, m)
-    while m < (1 << 20):
-        m *= 2
-        b2 = boundary_norm(f, m)
-        if abs(b2 - b) < tol / 4:
-            b = b2
-            break
-        b = b2
+    b, _ = _settled_mean(f, 1.0, 0.5, 1024, 1 << 20, tol)
     cn = class_norm(f, tol)
     defect = max(cn.estimate - b, -tol)
     return SmirnovResult(defect, defect <= tol, cn.estimate, cn.converged, b)
@@ -392,7 +402,5 @@ def phi_sample(f: HoloFunction, m: int) -> CircleSample:
     if m < 1:
         raise InvalidParameterError("grid size must be positive")
     j = np.arange(m, dtype=float)
-    z = np.exp(2j * np.pi * (j + 0.5) / m)
-    logmag, phase = f.logpolar(z)
-    vals = np.exp(logmag) * phase
+    vals = _values(f, np.exp(2j * np.pi * (j + 0.5) / m))
     return CircleSample(m, tuple(complex(v) for v in vals))

@@ -212,15 +212,13 @@ def embed_diagonal(f: StepFunction, n: int) -> MatrixOperator:
         raise InvalidParameterError("n must be a positive integer")
     if f.total_measure != 1:
         raise InvalidParameterError("embed_diagonal requires total_measure 1")
-    diag: list[complex] = []
-    for l, r, v in f.pieces:
-        count = (r - l) * n
-        k = round(count)
-        if abs(count - k) > 1e-9 or k < 1:
-            raise InvalidParameterError(
-                f"piece length {r - l} is not a multiple of 1/{n}")
-        diag.extend([v] * k)
-    if len(diag) > n:
+    counts = [round((r - l) * n) for l, r, _ in f.pieces]
+    for (l, r, _), k in zip(f.pieces, counts):
+        if abs((r - l) * n - k) > 1e-9 or k < 1:
+            raise InvalidParameterError(f"piece length {r - l} is not a multiple of 1/{n}")
+    if sum(counts) > n:
         raise InvalidParameterError("pieces exceed total matrix size")
-    diag.extend([0j] * (n - len(diag)))
-    return MatrixOperator.make(np.diag(np.asarray(diag, dtype=complex)))
+    entries = np.zeros((n, n), dtype=complex)  # first: a too large n allocates nothing else
+    i = np.arange(sum(counts))
+    entries[i, i] = np.repeat([v for _, _, v in f.pieces], counts)
+    return MatrixOperator.make(entries)

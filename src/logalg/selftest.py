@@ -41,17 +41,7 @@ def random_matrix(rng: np.random.Generator, n: int,
 
 def scale_to_lognorm(f: stepfn.StepFunction, target: float) -> float:
     """Positive c with lognorm(c f) = target, bisected down to adjacent doubles."""
-    lo, hi = 0.0, 1.0
-    while stepfn.lognorm(stepfn.scale(f, hi)) < target:
-        hi *= 2
-    mid = 0.5 * hi
-    while lo < mid < hi:
-        if stepfn.lognorm(stepfn.scale(f, mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-        mid = 0.5 * (lo + hi)
-    return mid
+    return stepfn._bisect(lambda c: stepfn.lognorm(stepfn.scale(f, c)) < target)
 
 
 def nevanlinna_corpus():

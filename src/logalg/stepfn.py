@@ -239,31 +239,33 @@ def restrict(f: StepFunction, a: float, b: float) -> StepFunction:
     return StepFunction.make(pieces, f.total_measure)
 
 
-def orlicz_fnorm(f: StepFunction, tol: float = 1e-12, max_iter: int = 200) -> float:
+def _bisect(below) -> float:
+    """Where below(x), true for small x > 0 and false for large x, turns false.
+
+    hi doubles from 1 until below(hi) fails; [0, hi] is then bisected down
+    to adjacent doubles.
+    """
+    lo, hi = 0.0, 1.0
+    while below(hi):
+        hi *= 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if below(mid) else (lo, mid)
+    return mid
+
+
+def orlicz_fnorm(f: StepFunction) -> float:
     """Orlicz-style F-norm: inf of lambda > 0 with lognorm(f / lambda) <= lambda.
 
     For f != 0 the map lambda -> lognorm(f / lambda) is strictly decreasing
-    and the infimum is the fixed point, located by bisection.
+    and the infimum is the fixed point, bisected down to adjacent doubles.
     """
     if f.is_zero():
         return 0.0
-
-    def excess(lam: float) -> float:
-        return sum((r - l) * math.log1p(abs(v) / lam) for l, r, v in f.pieces) - lam
-
-    hi = max(1.0, lognorm(f))
-    while excess(hi) > 0:
-        hi *= 2.0
-    lo = 0.0  # excess(0+) = +inf > 0
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if excess(mid) > 0:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= tol:
-            break
-    return 0.5 * (lo + hi)
+    parts = [(r - l, abs(v)) for l, r, v in f.pieces]
+    # where a / lam overflows a double, log1p(a / lam) = log(a) - log(lam) to double precision
+    return _bisect(lambda lam: sum(w * (math.log1p(q) if (q := a / lam) < math.inf
+                                        else math.log(a) - math.log(lam))
+                                   for w, a in parts) > lam)
 
 
 def truncate(f: StepFunction, M: float) -> StepFunction:

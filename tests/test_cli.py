@@ -185,11 +185,12 @@ def strict_loads(text):
     return json.loads(text, parse_constant=refuse)
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
+HUGE_LINEAR = json.dumps({"op": "poly", "coeffs": [{"re": 1e308, "im": 0},
+                                                    {"re": 1e308, "im": 0}]})
+
+
 def test_nev_eval_overflow_refused(capsys):
-    expr = json.dumps({"op": "poly", "coeffs": [{"re": 1e308, "im": 0},
-                                                {"re": 1e308, "im": 0}]})
-    code, out, err = run(capsys, "nev-eval", "--input", expr, "--re", "1")
+    code, out, err = run(capsys, "nev-eval", "--input", HUGE_LINEAR, "--re", "1")
     assert code == 2
     assert out == ""
     assert err.startswith("error: invalid-parameter")
@@ -245,3 +246,45 @@ def test_selftest_names_a_failing_check(capsys, monkeypatch):
     assert "[selftest] FAIL: separation sequence: " in out
     assert sum(line.startswith("[selftest] FAIL") for line in out.splitlines()) == 1
     assert err == "error: invariant-check: selftest failed: separation sequence\n"
+
+
+def test_nev_smirnov_of_huge_polynomial(capsys):
+    # 1e308 (1 + z) has no zero inside the disk, so by Jensen's formula its
+    # boundary norm is log(1e308) and it lies in the Smirnov class
+    code, out, err = run(capsys, "nev-smirnov", "--input", HUGE_LINEAR)
+    assert code == 0
+    assert err == ""
+    res = strict_loads(out)
+    assert res["is_smirnov"] is True
+    assert res["boundary_norm"] == pytest.approx(math.log(1e308), abs=1e-3)
+
+
+@pytest.mark.parametrize("verb", ["nev-smirnov", "nev-sweep"])
+def test_holo_verbs_refuse_overflow_with_one_line(capsys, verb):
+    expr = json.dumps({"op": "div",
+                       "lhs": {"op": "poly", "coeffs": [{"re": 1, "im": 0}]},
+                       "rhs": {"op": "singular", "s": 1e308}})
+    code, out, err = run(capsys, verb, "--input", expr)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: invalid-parameter: value overflows a double")
+
+
+def test_deeply_nested_tree_is_malformed(capsys):
+    one = '{"op": "poly", "coeffs": [{"re": 1, "im": 0}]}'
+    expr = '{"op": "mul", "lhs": ' * 5000 + one + (', "rhs": ' + one + '}') * 5000
+    code, out, err = run(capsys, "nev-eval", "--input", expr)
+    assert code == 2
+    assert out == ""
+    assert err == "error: malformed-input: input nests too deeply\n"
+
+
+def test_embed_too_large_refused(capsys):
+    # the 10^8 x 10^8 request is refused before anything is allocated
+    payload = json.dumps({"total_measure": 1.0, "pieces": []})
+    code, out, err = run(capsys, "embed", "--input", payload, "--n", "100000000")
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ")

@@ -224,3 +224,13 @@ def test_phi_sample_offset_grid_avoids_singularity():
     # works even with a singular inner atom: the grid never hits z = 1
     s = phi_sample(SingularInner.make(1.0), 64)
     assert all(abs(abs(v) - 1.0) < 1e-12 for v in s.values)
+
+
+def test_phi_sample_overflow_refused():
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        phi_sample(Polynomial.make([1e308, 1e308]), 64)
+
+
+def test_quadrature_overflow_refused():
+    with pytest.raises(InvalidParameterError, match="grid point index"):
+        boundary_norm(inv_singular(1e308), 64)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -113,6 +114,17 @@ def test_orlicz_unit_fixed_point():
 def test_orlicz_golden_value():
     assert orlicz_fnorm(sf((0, 0.5, 3))) == pytest.approx(ORLICZ_HALF_THREE,
                                                           abs=1e-11)
+
+
+def test_orlicz_relative_precision_at_tiny_scale():
+    # log1p(1e-320 / lam) ~ 1e-320 / lam, so the fixed point is sqrt(1e-320)
+    assert orlicz_fnorm(sf((0, 1, 1e-320))) == pytest.approx(1e-160, rel=1e-4, abs=0)
+
+
+def test_orlicz_where_f_over_lambda_overflows():
+    # 1e215 / lam overflows a double; there log1p(1e215 / lam) = log(1e215 / lam)
+    lam = orlicz_fnorm(sf((0, 1e-98, 1e215)))
+    assert 1e-98 * (math.log(1e215) - math.log(lam)) == pytest.approx(lam, rel=1e-12, abs=0)
 
 
 def test_orlicz_golden_oracle():
@@ -246,6 +258,20 @@ def test_orlicz_equivalence_small_side(f):
     phi = orlicz_fnorm(f)
     if phi < 1:
         assert lognorm(f) <= phi + 1e-10
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), st.integers(-300, 300))
+def test_orlicz_fixed_point_at_every_scale(f, e):
+    # below e = -300, abs() of a subnormal complex value itself loses bits
+    f = scale(f, 10.0 ** e)
+    lam = orlicz_fnorm(f)
+    # lognorm(f / lam) summed in logs, since f / lam and 1 / lam may overflow;
+    # the logs cost at most ~1.2e-13 relative
+    image = sum((r - l) * np.logaddexp(0.0, math.log(abs(v)) - math.log(lam))
+                for l, r, v in f.pieces)
+    # a subnormal lam has too few bits for 1e-12 relative: allow 16 of its ulps
+    assert abs(image - lam) <= 1e-12 * lam + 16 * math.ulp(0.0)
 
 
 @settings(max_examples=100, deadline=None)
