@@ -34,134 +34,115 @@ def _load_json(source: str):
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
 
 
-def _step(source: str) -> stepfn.StepFunction:
-    return stepfn.StepFunction.from_json(_load_json(source))
+# Operand parsers look the library up when called, so that a from_json
+# replaced on its class or module is the one that runs.
+STEP = lambda obj: stepfn.StepFunction.from_json(obj)  # noqa: E731
+MATRIX = lambda obj: ops.MatrixOperator.from_json(obj)  # noqa: E731
+TREE = lambda obj: holo.from_json(obj)  # noqa: E731
 
 
-def _matrix(source: str) -> ops.MatrixOperator:
-    return ops.MatrixOperator.from_json(_load_json(source))
+def _step_list(obj) -> list:
+    if not isinstance(obj, list):
+        raise MalformedInputError("cauchy expects a JSON list of step functions")
+    return [STEP(o) for o in obj]
 
 
-def _holo(source: str) -> holo.HoloFunction:
-    return holo.from_json(_load_json(source))
-
-
-def _emit(obj) -> None:
-    print(jsonio.dumps(obj))
-
-
-def _cmd_norm(args):
-    _emit({"lognorm": stepfn.lognorm(_step(args.input))})
-
-
-def _cmd_dist(args):
-    _emit({"dlog": stepfn.dlog(_step(args.input), _step(args.other))})
-
-
-def _cmd_orlicz(args):
-    _emit({"orlicz_fnorm": stepfn.orlicz_fnorm(_step(args.input))})
-
-
-def _cmd_rearrange(args):
-    _emit(stepfn.decreasing_rearrangement(_step(args.input)).to_json())
-
-
-def _cmd_op_norm(args):
-    _emit({"lognorm": ops.lognorm_op(_matrix(args.input))})
-
-
-def _cmd_op_dist(args):
-    _emit({"dlog": ops.dlog_op(_matrix(args.input), _matrix(args.other))})
-
-
-def _cmd_dtau(args):
-    _emit({"dtau": ops.dtau(_matrix(args.input), _matrix(args.other))})
-
-
-def _cmd_project(args):
-    b = math.inf if args.b is None else args.b
-    _emit(ops.spectral_project(_matrix(args.input), args.a, b).to_json())
-
-
-def _cmd_split(args):
-    s = ops.split_at(_matrix(args.input), args.K)
-    _emit({"cutoff": s.cutoff,
-           "bounded_part": s.bounded_part.to_json(),
-           "tail_part": s.tail_part.to_json()})
-
-
-def _cmd_fkdet(args):
-    _emit({"fk_determinant": ops.fk_determinant(_matrix(args.input))})
-
-
-def _cmd_embed(args):
-    _emit(ops.embed_diagonal(_step(args.input), args.n).to_json())
-
-
-def _cmd_nev_eval(args):
-    v = holo.evaluate(_holo(args.input), complex(args.re, args.im))
-    _emit({"value": v})
-
-
-def _cmd_nev_sweep(args):
-    f = _holo(args.input)
-    rows = []
-    for k in range(1, args.k_max + 1):
-        r = 1.0 - 2.0 ** (-k)
-        rows.append((r, holo.radial_mean(f, r, args.m)))
+def _sweep(args, f):
+    rows = [(r, holo.radial_mean(f, r, args.m))
+            for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
     if args.format == "json":
-        _emit({"sweep": [{"r": r, "mean": v} for r, v in rows]})
-    else:
-        print("r,radial_mean")
-        for r, v in rows:
-            print(f"{r:.15g},{v:.15g}")
+        return {"sweep": [{"r": r, "mean": v} for r, v in rows]}
+    return "\n".join(["r,radial_mean"] + [f"{r:.15g},{v:.15g}" for r, v in rows])
 
 
-def _cmd_nev_smirnov(args):
-    res = holo.smirnov_defect(_holo(args.input), args.tol)
-    _emit({"defect": res.defect, "is_smirnov": res.is_smirnov,
-           "class_estimate": res.class_estimate,
-           "class_converged": res.class_converged,
-           "boundary_norm": res.boundary})
+def _cauchy(args, seq) -> dict:
+    limit, report = witnesses.cauchy_limit(seq, args.tol)
+    return {"is_cauchy": report.is_cauchy, "distances": list(report.distances),
+            "gap": report.gap, "limit": limit.to_json(),
+            "limit_distance": report.limit_distance}
 
 
-def _cmd_witness(args):
+def _witness(args, f=None):
+    """The separation document; the other two kinds print theirs, then re-check it."""
+    if args.kind == "separation":
+        return {"sequence": [witnesses.separation_sequence(k).to_json()
+                             for k in range(1, args.k + 1)]}
     if args.kind == "nonbounded":
-        w = witnesses.unboundedness_witness(args.eps, args.N)
-        _emit(w.to_json())
-        if not w.verify():
+        doc = witnesses.unboundedness_witness(args.eps, args.N).to_json()
+        print(jsonio.dumps(doc))
+        if not doc["valid"]:
             raise InvariantError("unboundedness witness failed re-check")
-    elif args.kind == "nonconvex":
-        if args.input is None:
-            raise InvalidParameterError("witness nonconvex requires --input")
-        f = _step(args.input)
+    elif f is None:
+        raise InvalidParameterError("witness nonconvex requires --input")
+    else:
         split = witnesses.convex_split(f, args.eps)
-        _emit(split.to_json())
+        print(jsonio.dumps(split.to_json()))
         if not split.verify(f):
             raise InvariantError("convex split failed re-check")
-    else:  # separation
-        reports = [witnesses.separation_sequence(k).to_json()
-                   for k in range(1, args.k + 1)]
-        _emit({"sequence": reports})
+    return None
 
 
-def _cmd_cauchy(args):
-    payload = _load_json(args.input)
-    if not isinstance(payload, list):
-        raise MalformedInputError("cauchy expects a JSON list of step functions")
-    seq = [stepfn.StepFunction.from_json(o) for o in payload]
-    limit, report = witnesses.cauchy_limit(seq, args.tol)
-    _emit({"is_cauchy": report.is_cauchy,
-           "distances": list(report.distances),
-           "gap": report.gap,
-           "limit": limit.to_json(),
-           "limit_distance": report.limit_distance})
-
-
-def _cmd_selftest(args):
+def _selftest(args) -> None:
     failures = selftest.run_all(seed=args.seed, trials=args.trials)
     if failures:
         raise InvariantError(f"selftest failed: {', '.join(failures)}")
+
+
+INPUT = ("--input", dict(required=True, help="JSON file path, inline JSON, or '-' for stdin"))
+OTHER = ("--other", dict(required=True, help="second operand (same formats)"))
+
+# One row per verb: name, help, parsers of its --input and --other operands,
+# its arguments, and the map from (args, *operands) to the output document
+# (None when the verb printed for itself).
+VERBS = (
+    ("norm", "log F-norm of a step function", (STEP,), (INPUT,),
+     lambda a, f: {"lognorm": stepfn.lognorm(f)}),
+    ("dist", "dlog metric", (STEP, STEP), (INPUT, OTHER),
+     lambda a, f, g: {"dlog": stepfn.dlog(f, g)}),
+    ("orlicz", "Orlicz-style F-norm", (STEP,), (INPUT,),
+     lambda a, f: {"orlicz_fnorm": stepfn.orlicz_fnorm(f)}),
+    ("rearrange", "decreasing rearrangement", (STEP,), (INPUT,),
+     lambda a, f: stepfn.decreasing_rearrangement(f).to_json()),
+    ("op-norm", "matrix log F-norm", (MATRIX,), (INPUT,),
+     lambda a, T: {"lognorm": ops.lognorm_op(T)}),
+    ("op-dist", "matrix dlog metric", (MATRIX, MATRIX), (INPUT, OTHER),
+     lambda a, S, T: {"dlog": ops.dlog_op(S, T)}),
+    ("dtau", "measure-topology metric", (MATRIX, MATRIX), (INPUT, OTHER),
+     lambda a, S, T: {"dtau": ops.dtau(S, T)}),
+    ("project", "spectral projection of |T|", (MATRIX,),
+     (INPUT, ("--a", dict(type=float, required=True)),
+      ("--b", dict(type=float, default=None, help="omit for [a, inf)"))),
+     lambda a, T: ops.spectral_project(T, a.a, math.inf if a.b is None else a.b).to_json()),
+    ("split", "bounded/tail spectral split", (MATRIX,),
+     (INPUT, ("--K", dict(type=float, required=True))),
+     lambda a, T: ops.split_at(T, a.K).to_json()),
+    ("fkdet", "Fuglede-Kadison determinant", (MATRIX,), (INPUT,),
+     lambda a, T: {"fk_determinant": ops.fk_determinant(T)}),
+    ("embed", "diagonal embedding", (STEP,), (INPUT, ("--n", dict(type=int, required=True))),
+     lambda a, f: ops.embed_diagonal(f, a.n).to_json()),
+    ("nev-eval", "evaluate a disk function", (TREE,),
+     (INPUT, ("--re", dict(type=float, default=0.0)), ("--im", dict(type=float, default=0.0))),
+     lambda a, f: {"value": holo.evaluate(f, complex(a.re, a.im))}),
+    ("nev-sweep", "radial means along r = 1 - 2^-k", (TREE,),
+     (INPUT, ("--k-max", dict(type=int, default=12)), ("--m", dict(type=int, default=4096)),
+      ("--format", dict(choices=("json", "csv"), default="csv"))),
+     _sweep),
+    ("nev-smirnov", "Smirnov-class defect", (TREE,),
+     (INPUT, ("--tol", dict(type=float, default=1e-4))),
+     lambda a, f: holo.smirnov_defect(f, a.tol).to_json()),
+    ("witness", "negative-result constructions", (STEP,),
+     (("kind", dict(choices=("nonbounded", "nonconvex", "separation"))),
+      ("--input", dict(help="step function (nonconvex only)")),
+      ("--eps", dict(type=float, default=0.1)), ("--N", dict(type=int, default=2)),
+      ("--k", dict(type=int, default=20))),
+     _witness),
+    ("cauchy", "Cauchy classification and limit extraction", (_step_list,),
+     (INPUT, ("--tol", dict(type=float, default=1e-9))),
+     _cauchy),
+    ("selftest", "run the invariant suites", (),
+     (("--seed", dict(type=int, default=0)), ("--trials", dict(type=int, default=200))),
+     _selftest),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -169,76 +150,23 @@ def build_parser() -> argparse.ArgumentParser:
         prog="logalg",
         description="Log-integrable function/operator algebra toolkit")
     sub = p.add_subparsers(dest="verb", required=True)
-
-    def add(name, fn, **kw):
-        sp = sub.add_parser(name, **kw)
-        sp.set_defaults(fn=fn)
-        return sp
-
-    def with_input(sp, other=False):
-        sp.add_argument("--input", required=True,
-                        help="JSON file path, inline JSON, or '-' for stdin")
-        if other:
-            sp.add_argument("--other", required=True,
-                            help="second operand (same formats)")
-        return sp
-
-    with_input(add("norm", _cmd_norm, help="log F-norm of a step function"))
-    with_input(add("dist", _cmd_dist, help="dlog metric"), other=True)
-    with_input(add("orlicz", _cmd_orlicz, help="Orlicz-style F-norm"))
-    with_input(add("rearrange", _cmd_rearrange, help="decreasing rearrangement"))
-    with_input(add("op-norm", _cmd_op_norm, help="matrix log F-norm"))
-    with_input(add("op-dist", _cmd_op_dist, help="matrix dlog metric"), other=True)
-    with_input(add("dtau", _cmd_dtau, help="measure-topology metric"), other=True)
-
-    sp = with_input(add("project", _cmd_project, help="spectral projection of |T|"))
-    sp.add_argument("--a", type=float, required=True)
-    sp.add_argument("--b", type=float, default=None, help="omit for [a, inf)")
-
-    sp = with_input(add("split", _cmd_split, help="bounded/tail spectral split"))
-    sp.add_argument("--K", type=float, required=True)
-
-    with_input(add("fkdet", _cmd_fkdet, help="Fuglede-Kadison determinant"))
-
-    sp = with_input(add("embed", _cmd_embed, help="diagonal embedding"))
-    sp.add_argument("--n", type=int, required=True)
-
-    sp = with_input(add("nev-eval", _cmd_nev_eval, help="evaluate a disk function"))
-    sp.add_argument("--re", type=float, default=0.0)
-    sp.add_argument("--im", type=float, default=0.0)
-
-    sp = with_input(add("nev-sweep", _cmd_nev_sweep,
-                        help="radial means along r = 1 - 2^-k"))
-    sp.add_argument("--k-max", type=int, default=12)
-    sp.add_argument("--m", type=int, default=4096)
-    sp.add_argument("--format", choices=("json", "csv"), default="csv")
-
-    sp = with_input(add("nev-smirnov", _cmd_nev_smirnov,
-                        help="Smirnov-class defect"))
-    sp.add_argument("--tol", type=float, default=1e-4)
-
-    sp = add("witness", _cmd_witness, help="negative-result constructions")
-    sp.add_argument("kind", choices=("nonbounded", "nonconvex", "separation"))
-    sp.add_argument("--input", help="step function (nonconvex only)")
-    sp.add_argument("--eps", type=float, default=0.1)
-    sp.add_argument("--N", type=int, default=2)
-    sp.add_argument("--k", type=int, default=20)
-
-    sp = with_input(add("cauchy", _cmd_cauchy,
-                        help="Cauchy classification and limit extraction"))
-    sp.add_argument("--tol", type=float, default=1e-9)
-
-    sp = add("selftest", _cmd_selftest, help="run the invariant suites")
-    sp.add_argument("--seed", type=int, default=0)
-    sp.add_argument("--trials", type=int, default=200)
-
+    for name, help_, parsers, arguments, run in VERBS:
+        sp = sub.add_parser(name, help=help_)
+        sp.set_defaults(parsers=parsers, run=run)
+        for flag, kw in arguments:
+            sp.add_argument(flag, **kw)
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        args.fn(args)
+        sources = (getattr(args, "input", None), getattr(args, "other", None))
+        operands = [parse(_load_json(source))
+                    for parse, source in zip(args.parsers, sources) if source is not None]
+        out = args.run(args, *operands)
+        if out is not None:
+            print(out if isinstance(out, str) else jsonio.dumps(out))
         return 0
     except LogAlgError as exc:
         err = exc

@@ -251,7 +251,7 @@ def from_json(obj: dict) -> HoloFunction:
             return SingularInner.make(obj["s"])
         if op in _BINARY_OPS:
             return Binary(op, from_json(obj["lhs"]), from_json(obj["rhs"]))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise StructureError(f"bad expression JSON: {exc}") from exc
     raise StructureError(f"unknown expression op {op!r}")
 
@@ -284,7 +284,7 @@ def _values(f: HoloFunction, z: np.ndarray) -> np.ndarray:
 
 def evaluate(f: HoloFunction, z: complex) -> complex:
     """Value of f at a single point of the closed disk."""
-    if abs(z) > 1 + 1e-12:
+    if not abs(z) <= 1 + 1e-12:
         raise InvalidParameterError("evaluation point must satisfy |z| <= 1")
     return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
@@ -374,6 +374,11 @@ class SmirnovResult:
     class_estimate: float
     class_converged: bool
     boundary: float
+
+    def to_json(self) -> dict:
+        return {"defect": self.defect, "is_smirnov": self.is_smirnov,
+                "class_estimate": self.class_estimate,
+                "class_converged": self.class_converged, "boundary_norm": self.boundary}
 
 
 def smirnov_defect(f: HoloFunction, tol: float = 1e-4) -> SmirnovResult:

@@ -82,7 +82,7 @@ class MatrixOperator:
             n = int(obj["n"])
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad matrix JSON: {exc}") from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise MalformedInputError("matrix JSON arrays must be n x n")
@@ -96,6 +96,10 @@ class SpectralSplit:
     bounded_part: MatrixOperator
     tail_part: MatrixOperator
     cutoff: float
+
+    def to_json(self) -> dict:
+        return {"cutoff": self.cutoff, "bounded_part": self.bounded_part.to_json(),
+                "tail_part": self.tail_part.to_json()}
 
 
 def _check_dims(a: MatrixOperator, b: MatrixOperator) -> None:

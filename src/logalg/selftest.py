@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import holo, operators as ops, stepfn, witnesses
-from .errors import InvariantError, LogAlgError
+from .errors import InvalidParameterError, InvariantError, LogAlgError
 
 SLACK = 1e-10
 
@@ -333,6 +333,10 @@ CRITERIA = (
 
 def run_all(seed: int = 0, trials: int = 200) -> list[str]:
     """Run every check on one generator, print a line each, and return the failed names."""
+    if seed < 0:
+        raise InvalidParameterError("seed must be nonnegative")
+    if trials < 1:
+        raise InvalidParameterError("trials must be a positive integer")
     rng = np.random.default_rng(seed)
     # a Smirnov tolerance of 2e-3 keeps the Nevanlinna checks near 2.5e6 points
     sizes = Sizes(step_trials=trials, trials=trials, radial_k=12, smirnov_tol=2e-3)

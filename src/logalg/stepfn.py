@@ -33,13 +33,15 @@ class StepFunction:
     def make(pieces: Iterable[tuple[float, float, complex]],
              total_measure: float = math.inf) -> "StepFunction":
         """Validate, canonicalize and build a StepFunction."""
+        try:
+            total_measure = float(total_measure)
+            converted = [(float(l), float(r), complex(v)) for l, r, v in pieces]
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MalformedInputError(f"step function data is not numeric: {exc}") from exc
         if not (total_measure > 0):
             raise MalformedInputError("total_measure must be positive")
         items = []
-        for left, right, value in pieces:
-            left = float(left)
-            right = float(right)
-            value = complex(value)
+        for left, right, value in converted:
             if not (math.isfinite(left) and math.isfinite(right)):
                 raise MalformedInputError("piece endpoints must be finite")
             if not (math.isfinite(value.real) and math.isfinite(value.imag)):
@@ -62,7 +64,7 @@ class StepFunction:
                 merged[-1][1] = right
             else:
                 merged.append([left, right, value])
-        return StepFunction(tuple((l, r, v) for l, r, v in merged), float(total_measure))
+        return StepFunction(tuple((l, r, v) for l, r, v in merged), total_measure)
 
     @staticmethod
     def zero(total_measure: float = math.inf) -> "StepFunction":
@@ -89,7 +91,7 @@ class StepFunction:
             tm = math.inf if tm == "inf" else float(tm)
             pieces = [(p["l"], p["r"], complex(p["re"], p.get("im", 0.0)))
                       for p in obj["pieces"]]
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad StepFunction JSON: {exc}") from exc
         return StepFunction.make(pieces, tm)
 
@@ -243,11 +245,13 @@ def _bisect(below) -> float:
     """Where below(x), true for small x > 0 and false for large x, turns false.
 
     hi doubles from 1 until below(hi) fails; [0, hi] is then bisected down
-    to adjacent doubles.
+    to adjacent doubles.  A below() that holds until hi overflows is refused.
     """
     lo, hi = 0.0, 1.0
     while below(hi):
         hi *= 2
+        if hi == math.inf:
+            raise InvalidParameterError("bisection bracket overflows a double")
     while lo < (mid := 0.5 * (lo + hi)) < hi:
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
     return mid

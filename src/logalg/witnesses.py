@@ -46,6 +46,8 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
     """
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
+    if eps == math.inf:
+        raise InvalidParameterError("eps must be finite")
     if N < 1:
         raise InvalidParameterError("N must be a positive integer")
     K = 1.0
@@ -109,36 +111,16 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
     nf = scale(f, n)
     total = lognorm(nf)
 
-    # walk the cumulative integral of log(1 + n|f|); gaps have slope zero
-    segments = []  # (left, right, rate)
-    x = 0.0
+    # invert the cumulative integral of log(1 + n|f|) at total j/n; gaps add
+    # nothing, and with <= a target met at a piece's right end stays there
+    breakpoints, cum, j = [0.0], 0.0, 1
     for l, r, v in nf.pieces:
-        if l > x:
-            segments.append((x, l, 0.0))
-        segments.append((l, r, math.log1p(abs(v))))
-        x = r
-    if x < 1.0:
-        segments.append((x, 1.0, 0.0))
-
-    breakpoints = [0.0]
-    cum = 0.0
-    seg = iter(segments)
-    left, right, rate = next(seg)
-    for j in range(1, n):
-        target = total * j / n
-        while True:
-            seg_gain = rate * (right - left)
-            if cum + seg_gain >= target and (rate > 0 or cum >= target):
-                break
-            cum += seg_gain
-            left, right, rate = next(seg)
-        if rate > 0:
-            x_j = left + (target - cum) / rate
-            cum = target
-            left = x_j
-        else:
-            x_j = left  # leftmost point of a plateau already at the target
-        breakpoints.append(x_j)
+        rate = math.log1p(abs(v))
+        gain = rate * (r - l)
+        while j < n and (target := total * j / n) <= cum + gain:
+            breakpoints.append(l + (target - cum) / rate)
+            j += 1
+        cum += gain
     breakpoints.append(1.0)
 
     pieces = tuple(restrict(nf, a, b) if not nf.is_zero() else nf

@@ -1,10 +1,16 @@
+import io
 import json
 import math
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from logalg import InvariantError, StepFunction, jsonio, lognorm, orlicz_fnorm, selftest
+from logalg import (InvalidParameterError, InvariantError, StepFunction, jsonio, lognorm,
+                    orlicz_fnorm, selftest)
 from logalg.cli import main
+from test_stepfn import step_functions
 
 E = math.e
 
@@ -288,3 +294,76 @@ def test_embed_too_large_refused(capsys):
     assert out == ""
     assert len(err.splitlines()) == 1
     assert err.startswith("error: ")
+
+
+BIG = "1" + "0" * 400  # an integer literal no double can hold
+
+
+@pytest.mark.parametrize("argv, prefix", [
+    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": "a", "r": 1, "re": 1}]}'],
+     "malformed-input: "),
+    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": null, "r": 1, "re": 1}]}'],
+     "malformed-input: "),
+    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": %s}]}' % BIG],
+     "malformed-input: "),
+    (["op-norm", "--input", '{"n": 1, "re": [[%s]]}' % BIG], "malformed-input: "),
+    (["nev-eval", "--input", '{"op": "singular", "s": %s}' % BIG], "structure: "),
+    (["nev-eval", "--input", '{"op": "singular", "s": 1}', "--re", "nan"],
+     "invalid-parameter: evaluation point"),
+    (["witness", "nonbounded", "--eps", "inf"], "invalid-parameter: eps"),
+    (["selftest", "--seed", "-1"], "invalid-parameter: seed"),
+    (["selftest", "--trials", "0"], "invalid-parameter: trials"),
+])
+def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
+    status, out, err = run(capsys, *argv)
+    assert (status, out) == (2, "")
+    assert err.startswith(f"error: {prefix}")
+    assert len(err.splitlines()) == 1
+
+
+def test_scale_to_lognorm_of_zero_is_refused():
+    # lognorm(c * 0) = 0 stays below the target for every c
+    with pytest.raises(InvalidParameterError):
+        selftest.scale_to_lognorm(StepFunction.zero(1.0), 0.5)
+
+
+KEYS = ("total_measure", "pieces", "l", "r", "re", "im", "n")
+MALFORMED = [
+    {"total_measure": 1, "pieces": [{"l": "a", "r": 1, "re": 1}]},
+    {"total_measure": 1, "pieces": [{"l": None, "r": 1, "re": 1}]},
+    {"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": 10 ** 400}]},
+    {"total_measure": 10 ** 400, "pieces": []},
+    {"n": 1, "re": [[10 ** 400]]},
+    {"n": 2, "re": [[1, 2], [3]]},
+    {"total_measure": 1}, {"pieces": []}, {"n": 1},
+]
+junk = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.just(10 ** 400) | st.floats()
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.sampled_from(KEYS), inner),
+    max_leaves=8)
+matrices = st.integers(1, 3).flatmap(lambda n: st.fixed_dictionaries({
+    "n": st.just(n),
+    "re": st.lists(st.lists(st.floats(-1e6, 1e6), min_size=n, max_size=n),
+                   min_size=n, max_size=n)}))
+steps = step_functions().map(StepFunction.to_json)
+documents = (steps | st.lists(steps, max_size=4) | matrices | st.sampled_from(MALFORMED)
+             | junk.filter(lambda d: isinstance(d, (dict, list))))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(["norm", "dist", "orlicz", "rearrange", "embed", "cauchy", "op-norm"]),
+       documents, st.data())
+def test_any_document_gives_an_exit_code_and_strict_output(verb, doc, data):
+    argv = [verb, "--input", json.dumps(doc)]
+    if verb == "dist":
+        argv += ["--other", json.dumps(data.draw(documents))]
+    if verb == "embed":
+        argv += ["--n", str(data.draw(st.integers(1, 8)))]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if out.getvalue():
+        strict_loads(out.getvalue())
+    assert all(line.startswith("error: ") for line in err.getvalue().splitlines())

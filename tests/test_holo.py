@@ -40,6 +40,16 @@ def test_singular_inner_boundary_singularity():
         evaluate(SingularInner.make(1.0), 1.0)
 
 
+def test_evaluate_refuses_nan_point_as_outside_disk():
+    with pytest.raises(InvalidParameterError, match=r"\|z\| <= 1"):
+        evaluate(Polynomial.make([1]), complex(math.nan, 0))
+
+
+def test_from_json_refuses_integer_beyond_double():
+    with pytest.raises(StructureError):
+        from_json({"op": "singular", "s": 10 ** 400})
+
+
 def test_blaschke_parameter_validation():
     with pytest.raises(InvalidParameterError):
         BlaschkeFactor.make(1.0)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from logalg import (DomainMismatchError, InvalidParameterError,
-                    MatrixOperator, SingularStep, StepFunction,
+                    MalformedInputError, MatrixOperator, SingularStep, StepFunction,
                     decreasing_rearrangement, dlog_op, dtau, embed_diagonal,
                     fk_determinant, lognorm, lognorm_op, measure_above,
                     singular_numbers, spectral_project, split_at)
@@ -23,6 +23,11 @@ def dtau_series(A, B, terms=60):
     """Independent partial-series evaluation of the measure-topology metric."""
     return sum(2.0 ** (-k) * measure_above(A - B, 1.0 / k)
                for k in range(1, terms + 1))
+
+
+def test_from_json_refuses_integer_beyond_double():
+    with pytest.raises(MalformedInputError):
+        MatrixOperator.from_json({"n": 1, "re": [[10 ** 400]]})
 
 
 # ----------------------------------------------------------- singular numbers

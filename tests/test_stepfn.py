@@ -48,6 +48,17 @@ def test_json_round_trip():
     assert StepFunction.from_json(StepFunction.zero().to_json()).is_zero()
 
 
+@pytest.mark.parametrize("piece", [("a", 1, 1), (None, 1, 1), (0, 1, 10 ** 400), (0, 1)])
+def test_make_refuses_non_numeric_pieces(piece):
+    with pytest.raises(MalformedInputError):
+        StepFunction.make([piece], 1.0)
+
+
+def test_from_json_refuses_integer_beyond_double():
+    with pytest.raises(MalformedInputError):
+        StepFunction.from_json({"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": 10 ** 400}]})
+
+
 # -------------------------------------------------------------------- lognorm
 
 def test_lognorm_zero():

@@ -39,6 +39,8 @@ def test_unboundedness_invalid_parameters():
         unboundedness_witness(0.0, 2)
     with pytest.raises(InvalidParameterError):
         unboundedness_witness(1.0, 0)
+    with pytest.raises(InvalidParameterError):
+        unboundedness_witness(math.inf, 2)
 
 
 # --------------------------------------------------------------- convex split
@@ -81,6 +83,16 @@ def test_convex_split_piece_norms_balanced():
     for p in split.pieces:
         assert lognorm(p) == pytest.approx(total / split.n, abs=1e-12)
     assert dlog(split.average(), f) <= 1e-15
+
+
+def test_convex_split_breakpoints_do_not_drift():
+    # each breakpoint comes from the whole-piece sums, not from the previous
+    # rounded breakpoint, so the norms stay equal over thousands of pieces
+    f = StepFunction.make([(0, 0.5, 2.0)], 1.0)
+    split = convex_split(f, 1e-3)
+    assert split.n == 4560
+    target = lognorm(scale(f, split.n)) / split.n
+    assert all(abs(lognorm(p) - target) <= 1e-14 for p in split.pieces)
 
 
 def test_convex_split_verify():
