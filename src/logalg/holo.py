@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -21,6 +21,9 @@ from .errors import InvalidParameterError, SingularityError, StructureError
 
 _CHUNK = 1 << 19           # quadrature points evaluated per numpy batch
 _BOUNDARY_GUARD = 1e-13    # distance to z = 1 below which evaluation refuses
+_GRADE = 6                 # order p of the graded nodes' clustering at z = 1
+_SWEEP_K = 40              # class_norm's last radius is at most 1 - 2^-40
+_SWEEP_M_MAX = 1 << 22     # nodes of one radial mean in class_norm at most
 
 
 class HoloFunction:
@@ -225,15 +228,6 @@ Mul = partial(Binary, "mul")
 Div = partial(Binary, "div")
 
 
-def has_singular_atom(f: HoloFunction) -> bool:
-    """True if the tree contains a singular inner exponential anywhere."""
-    if isinstance(f, SingularInner):
-        return True
-    if isinstance(f, Binary):
-        return has_singular_atom(f.left) or has_singular_atom(f.right)
-    return False
-
-
 def from_json(obj: dict) -> HoloFunction:
     """Rebuild an expression tree from its JSON form."""
     try:
@@ -289,45 +283,104 @@ def evaluate(f: HoloFunction, z: complex) -> complex:
     return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
 
-def _mean_log1p_abs(f: HoloFunction, radius: float, m: int, offset: float) -> float:
-    """Equal-weight circle quadrature of log(1 + |f|), chunked for memory."""
+def _uniform_nodes(radius: float, offset: float, m: int, j: np.ndarray):
+    """Equal-weight nodes radius * exp(2 pi i (j + offset) / m); None weights."""
+    return radius * np.exp(2j * np.pi * (j + offset) / m), None
+
+
+def _graded_unit(m: int, j: np.ndarray):
+    """Kress's sigmoidal nodes on the unit circle, clustered at z = 1, and their weights.
+
+    theta = 2 pi v^p / (v^p + (1 - v)^p) at v = (j + 1/2) / m, with weight
+    theta'(v) / (2 pi) so that weights average to the circle mean.  For v > 1/2
+    the angle is taken as theta - 2 pi, and 1 - v is formed from j, so that
+    nodes near z = 1 keep their relative precision on both sides.
+    """
+    v, u = (j + 0.5) / m, (m - 0.5 - j) / m
+    a, b = v ** _GRADE, u ** _GRADE
+    s = a + b
+    phi = 2 * np.pi * np.where(v < 0.5, a, -b) / s
+    return np.exp(1j * phi), _GRADE * a * b / (v * u * s * s)
+
+
+@lru_cache(maxsize=2)
+def _graded_grid(m: int):
+    """_graded_unit of a whole grid of at most _CHUNK nodes, read-only.
+
+    Cached because a sweep asks for the same pair of grids at radius after
+    radius; two grids of at most one chunk each bound the memory it holds.
+    """
+    nodes = _graded_unit(m, np.arange(m, dtype=float))
+    for x in nodes:
+        x.setflags(write=False)
+    return nodes
+
+
+def _graded_nodes(radius: float, m: int, j: np.ndarray):
+    unit, w = _graded_grid(m) if m <= _CHUNK else _graded_unit(m, j)
+    return radius * unit, w
+
+
+def _weighted_sum(g: np.ndarray, w) -> float:
+    return float(g.sum() if w is None else w @ g)
+
+
+def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
+    """Circle mean of log(1 + |f|) over m nodes, chunked for memory.
+
+    nodes(m, j) gives the points and weights of node indices j (weights None:
+    equal weights, summed and divided by m).
+    """
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
     total = 0.0
     for start in range(0, m, _CHUNK):
-        j = np.arange(start, min(start + _CHUNK, m), dtype=float)
-        z = radius * np.exp(2j * np.pi * (j + offset) / m)
+        z, w = nodes(m, np.arange(start, min(start + _CHUNK, m), dtype=float))
         logmag, _ = _checked_logpolar(f, z, start)
-        total += float(np.logaddexp(0.0, logmag).sum())
+        total += _weighted_sum(np.logaddexp(0.0, logmag), w)
     return total / m
 
 
-def _settled_mean(f: HoloFunction, radius: float, offset: float, m: int,
-                  m_max: int, tol: float):
-    """Circle mean of log(1 + |f|), doubling m until it moves by less than tol/4.
+def _pair_means(f: HoloFunction, nodes, m: int):
+    """Circle means of log(1 + |f|) on the grids m and 2m of one node rule.
 
-    Returns (mean, next_m): next_m is the coarser grid of the settled pair,
-    or m_max if the grid budget ran out first.
+    Both grids go through one evaluation of f when they fit in one chunk:
+    at a few hundred nodes a call costs more than its nodes.
     """
-    v = _mean_log1p_abs(f, radius, m, offset)
-    while m < m_max:
-        v2 = _mean_log1p_abs(f, radius, 2 * m, offset)
-        if abs(v2 - v) < tol / 4:
-            return v2, m
-        v, m = v2, 2 * m
-    return v, m
+    if 3 * m > _CHUNK:
+        return _mean_log1p_abs(f, nodes, m), _mean_log1p_abs(f, nodes, 2 * m)
+    (z1, w1), (z2, w2) = (nodes(k, np.arange(k, dtype=float)) for k in (m, 2 * m))
+    logmag, _ = _checked_logpolar(f, np.concatenate((z1, z2)))
+    g = np.logaddexp(0.0, logmag)
+    return _weighted_sum(g[:m], w1) / m, _weighted_sum(g[m:], w2) / (2 * m)
+
+
+def _settled_mean(f: HoloFunction, nodes, m: int, m_max: int, tol: float):
+    """Circle mean of log(1 + |f|) on the grids m and 2m, m doubling until
+    the two means differ by less than tol/4 or 2m reaches m_max.
+
+    Returns (mean, grid, delta, points): the mean on the finer grid of the
+    last pair, that grid's size, the difference of the pair's means and the
+    points evaluated.
+    """
+    points = 0
+    while True:
+        v, v2 = _pair_means(f, nodes, m)
+        points, m, delta = points + 3 * m, 2 * m, abs(v2 - v)
+        if delta < tol / 4 or m >= m_max:
+            return v2, m, delta, points
 
 
 def radial_mean(f: HoloFunction, r: float, m: int) -> float:
     """Periodic trapezoid approximation of the circle mean of log(1 + |f|) at radius r."""
     if not 0 <= r < 1:
         raise InvalidParameterError("radius must lie in [0, 1)")
-    return _mean_log1p_abs(f, r, m, offset=0.0)
+    return _mean_log1p_abs(f, partial(_uniform_nodes, r, 0.0), m)
 
 
 def boundary_norm(f: HoloFunction, m: int) -> float:
     """Circle mean of log(1 + |f|) on the half-step offset boundary grid."""
-    return _mean_log1p_abs(f, 1.0, m, offset=0.5)
+    return _mean_log1p_abs(f, partial(_uniform_nodes, 1.0, 0.5), m)
 
 
 def d_N(f: HoloFunction, g: HoloFunction, m: int) -> float:
@@ -337,43 +390,83 @@ def d_N(f: HoloFunction, g: HoloFunction, m: int) -> float:
 
 @dataclass(frozen=True)
 class ClassNormResult:
+    """The radius sweep of class_norm and how it ended.
+
+    grids[i] is the node count of means[i]; delta is the difference between
+    the last radius's means on its last two grids, points the nodes evaluated
+    over the whole sweep, and stop one of "converged", "radius-budget" or
+    "grid-budget".
+    """
+
     estimate: float
-    converged: bool
     radii: tuple
     means: tuple
+    grids: tuple
+    delta: float
+    points: int
+    stop: str
+
+    @property
+    def converged(self) -> bool:
+        return self.stop == "converged"
 
 
 def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
-    """Supremum over r < 1 of the radial means, along r_k = 1 - 2^-k, k <= 17.
+    """Supremum over r < 1 of the radial means, along r_k = 1 - 2^-k, k <= 40.
 
-    Each radial mean is grid-refined from 64 points until doubling changes
-    it by less than tol/4 (capped at 2^22 points).  The sweep stops,
-    converged, once an r-increment falls below tol; if the radius or grid
-    budget is exhausted first the running supremum is returned flagged
-    unconverged.  It is a valid lower bound either way, the means being
-    nondecreasing in r.
+    Each radial mean uses graded nodes theta = 2 pi v^p / (v^p + (1 - v)^p),
+    v = (j + 1/2) / m, p = 6, which cluster at z = 1 where every singular
+    atom sits (R. Kress, "A Nystrom method for boundary integral equations in
+    domains with corners", Numer. Math. 58, 1990).  The grid is doubled from
+    64 nodes until the mean moves by less than tol/4, at most to 2^22 nodes.
+    Radial means of singular atoms approach their limit like sqrt(1 - r), so
+    the sweep stops, converged, once an r-increment falls below
+    tol (sqrt 2 - 1): the increments that would follow sum to less than tol.
+    The rounding of 1 - r e^{i theta} is about 2^-52 / (1 - r) relative and
+    must stay below tol, which ends the sweep at k < 52 + log2(tol) if that
+    comes before k = 40.  If the radius or grid budget runs out first the
+    running supremum is returned unconverged.  It is a valid lower bound
+    either way, the means being nondecreasing in r.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    radii, means = [], []
-    m = 64
-    for k in range(1, 18):
+    k_max = max(1, min(_SWEEP_K, math.ceil(math.log2(min(tol, 1.0))) + 51))
+    radii, means, grids, points = [], [], [], 0
+    m, stop = 64, "radius-budget"
+    for k in range(1, k_max + 1):
         r = 1.0 - 2.0 ** (-k)
-        v, m = _settled_mean(f, r, 0.0, m, 1 << 22, tol)
+        v, grid, delta, n = _settled_mean(f, partial(_graded_nodes, r), m, _SWEEP_M_MAX, tol)
         radii.append(r)
         means.append(v)
-        if k > 1 and abs(v - means[-2]) < tol:
-            return ClassNormResult(max(means), True, tuple(radii), tuple(means))
-    return ClassNormResult(max(means), False, tuple(radii), tuple(means))
+        grids.append(grid)
+        points += n
+        if not delta < tol / 4:
+            stop = "grid-budget"
+            break
+        if k > 1 and abs(v - means[-2]) < tol * (math.sqrt(2) - 1):
+            stop = "converged"
+            break
+        m = grid // 2
+    return ClassNormResult(max(means), tuple(radii), tuple(means), tuple(grids),
+                           delta, points, stop)
 
 
 @dataclass(frozen=True)
 class SmirnovResult:
+    """Smirnov defect, boundary norm and the class_norm sweep it came from."""
+
     defect: float
     is_smirnov: bool
-    class_estimate: float
-    class_converged: bool
     boundary: float
+    sweep: ClassNormResult
+
+    @property
+    def class_estimate(self) -> float:
+        return self.sweep.estimate
+
+    @property
+    def class_converged(self) -> bool:
+        return self.sweep.converged
 
     def to_json(self) -> dict:
         return {"defect": self.defect, "is_smirnov": self.is_smirnov,
@@ -389,10 +482,10 @@ def smirnov_defect(f: HoloFunction, tol: float = 1e-4) -> SmirnovResult:
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    b, _ = _settled_mean(f, 1.0, 0.5, 1024, 1 << 20, tol)
+    b, *_ = _settled_mean(f, partial(_uniform_nodes, 1.0, 0.5), 1024, 1 << 20, tol)
     cn = class_norm(f, tol)
     defect = max(cn.estimate - b, -tol)
-    return SmirnovResult(defect, defect <= tol, cn.estimate, cn.converged, b)
+    return SmirnovResult(defect, defect <= tol, b, cn)
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import operator
+import sys
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -244,15 +245,17 @@ def restrict(f: StepFunction, a: float, b: float) -> StepFunction:
 def _bisect(below) -> float:
     """Where below(x), true for small x > 0 and false for large x, turns false.
 
-    hi doubles from 1 until below(hi) fails; [0, hi] is then bisected down
-    to adjacent doubles.  A below() that holds until hi overflows is refused.
+    hi doubles from 1, clamped at the largest double, until below(hi) fails;
+    [0, hi] is then bisected down to adjacent doubles.  A below() that still
+    holds at the largest double is refused.
     """
     lo, hi = 0.0, 1.0
     while below(hi):
-        hi *= 2
-        if hi == math.inf:
+        if hi == sys.float_info.max:
             raise InvalidParameterError("bisection bracket overflows a double")
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        hi = min(2 * hi, sys.float_info.max)
+    # where lo + hi overflows, each end is halved first
+    while lo < (mid := 0.5 * (lo + hi) if lo + hi < math.inf else 0.5 * lo + 0.5 * hi) < hi:
         lo, hi = (mid, hi) if below(mid) else (lo, mid)
     return mid
 

@@ -13,6 +13,8 @@ from .errors import DomainMismatchError, InvalidParameterError
 from .stepfn import (StepFunction, _refine, dlog, lognorm, pointwise, restrict,
                      scale)
 
+_MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
+
 
 @dataclass(frozen=True)
 class UnboundednessWitness:
@@ -104,9 +106,22 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
     if any(r > 1 for _, r, _ in f.pieces):
         raise InvalidParameterError("convex_split requires support in [0, 1)")
 
-    n = 1
-    while lognorm(scale(f, n)) / n >= eps:
-        n += 1
+    def too_coarse(n: int) -> bool:
+        return lognorm(scale(f, n)) / n >= eps
+
+    # lognorm(n f) / n decreases in n, as log(1 + t) / t does: double hi
+    # until it passes, then bisect (lo, hi] down to the first n that passes
+    lo, hi = 0, 1
+    while too_coarse(hi):
+        if hi >= _MAX_SLICES:
+            raise InvalidParameterError(
+                f"eps = {eps!r} needs more than {_MAX_SLICES} slices, "
+                "the most a split may hold in memory")
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if too_coarse(mid) else (lo, mid)
+    n = hi
 
     nf = scale(f, n)
     total = lognorm(nf)

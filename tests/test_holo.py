@@ -7,8 +7,10 @@ from logalg import (Add, BlaschkeFactor, Div, InvalidParameterError, Mul,
                     Polynomial, SafeRational, SingularInner, StructureError,
                     Sub, boundary_norm, class_norm, constant, d_N, evaluate,
                     phi_sample, radial_mean, smirnov_defect)
+from logalg import holo
 from logalg.errors import SingularityError
-from logalg.holo import from_json, has_singular_atom
+from logalg.holo import from_json
+from logalg.selftest import nevanlinna_corpus
 
 LOG2 = math.log(2)
 
@@ -98,11 +100,6 @@ def test_json_round_trip():
         assert evaluate(g, z) == pytest.approx(evaluate(f, z))
 
 
-def test_has_singular_atom():
-    assert has_singular_atom(inv_singular())
-    assert not has_singular_atom(Mul(BlaschkeFactor.make(0.5), constant(2)))
-
-
 # ---------------------------------------------------------------- radial mean
 
 def test_radial_mean_constant():
@@ -122,6 +119,18 @@ def test_radial_mean_golden_rational():
     f = SafeRational.make([1], [1, -0.9])
     assert radial_mean(f, 0.99, 1 << 20) == pytest.approx(RADIAL_GOLDEN,
                                                           abs=1e-12)
+
+
+def test_fixed_grid_means_keep_their_uniform_nodes():
+    # pinned values of the uniform-node quadrature: the graded nodes serve
+    # only class_norm, so these stay equal bit for bit
+    c = nevanlinna_corpus()
+    assert radial_mean(c[10], 1 - 2.0 ** -6, 4096) == 1.6328304229257746
+    assert radial_mean(c[9], 0.75, 256) == 0.5840082319320052
+    assert radial_mean(c[3], 0.5, 1 << 16) == 0.7109286663680032
+    assert boundary_norm(c[6], 1024) == 0.6931471805599454
+    assert boundary_norm(c[9], 4096) == 0.7774957752910987
+    assert boundary_norm(c[4], 1 << 20) == 0.75625546044246  # two chunks
 
 
 def test_radial_mean_parameter_validation():
@@ -189,6 +198,52 @@ def test_class_norm_inverse_singular_inner():
     res = class_norm(f, 1e-2)
     assert res.converged
     assert res.estimate >= boundary_norm(f, 4096) + 0.5
+
+
+def test_class_norm_reports_its_sweep():
+    res = class_norm(BlaschkeFactor.make(0.5), 1e-4)
+    assert res.stop == "converged"
+    assert len(res.radii) == len(res.means) == len(res.grids)
+    assert res.delta < 1e-4 / 4
+    assert res.points >= sum(res.grids)
+    c = 2 + 1j
+    assert class_norm(constant(c), 1e-4).estimate == pytest.approx(math.log1p(abs(c)), abs=1e-13)
+
+
+def test_class_norm_grid_budget(monkeypatch):
+    # a tol no grid can meet: the first radius exhausts the grid budget
+    monkeypatch.setattr(holo, "_SWEEP_M_MAX", 256)
+    res = class_norm(Polynomial.make([1, 1, 0.5j]), 1e-300)
+    assert res.stop == "grid-budget" and not res.converged
+    assert res.grids == (256,) and res.points == 3 * 64 + 3 * 128  # pairs (64, 128), (128, 256)
+    assert res.delta >= 1e-300 / 4
+
+
+@pytest.mark.parametrize("tol", [1e-4, 2e-3])
+@pytest.mark.parametrize("f, limit", [(SingularInner.make(1.0), LOG2),
+                                      (inv_singular(), 1 + LOG2)])
+def test_singular_atoms_reach_their_limit(f, limit, tol):
+    res = smirnov_defect(f, tol)
+    assert res.class_converged and res.sweep.stop == "converged"
+    assert abs(res.class_estimate - limit) <= tol
+
+
+def test_sweep_stops_unconverged_at_the_rounding_limit():
+    # at tol 1e-6 the rounding of 1 - r e^{i theta} caps the sweep at
+    # k = 32, before the sqrt(1 - r) approach of 1/S_1 has settled
+    res = class_norm(inv_singular(), 1e-6)
+    assert len(res.radii) <= 32
+    if res.converged:
+        assert abs(res.estimate - (1 + LOG2)) <= 1e-6
+    else:
+        assert res.stop == "radius-budget"
+
+
+@pytest.mark.parametrize("tol", [1e-4, 2e-3])
+def test_is_smirnov_over_the_corpus(tol):
+    corpus = nevanlinna_corpus()
+    got = [smirnov_defect(f, tol).is_smirnov for f in corpus]
+    assert got == [True] * (len(corpus) - 1) + [False]  # 1/S_1 is not in N+
 
 
 # -------------------------------------------------------------------- smirnov

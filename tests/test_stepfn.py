@@ -138,6 +138,13 @@ def test_orlicz_where_f_over_lambda_overflows():
     assert 1e-98 * (math.log(1e215) - math.log(lam)) == pytest.approx(lam, rel=1e-12, abs=0)
 
 
+def test_orlicz_fixed_point_near_the_largest_double():
+    # the bracket doubles past 2^1023 unless it is clamped at the largest double
+    lam = orlicz_fnorm(sf((0, 1.7e308, 1e308)))
+    assert lam == pytest.approx(1.1e308, rel=1e-3)
+    assert 1.7e308 * math.log1p(1e308 / lam) == pytest.approx(lam, rel=1e-12, abs=0)
+
+
 def test_orlicz_golden_oracle():
     scipy = pytest.importorskip("scipy.optimize")
     root = scipy.brentq(lambda lam: 0.5 * math.log1p(3 / lam) - lam,

@@ -95,6 +95,17 @@ def test_convex_split_breakpoints_do_not_drift():
     assert all(abs(lognorm(p) - target) <= 1e-14 for p in split.pieces)
 
 
+def test_convex_split_minimal_n_over_thousands_of_slices():
+    split = convex_split(StepFunction.make([(0, 0.5, 2.0)], 1.0), 1e-4)
+    assert split.n == 58_336
+
+
+def test_convex_split_refuses_a_split_too_large():
+    # eps = 1e-300 needs about 1e302 slices
+    with pytest.raises(InvalidParameterError, match="slices"):
+        convex_split(ONE, 1e-300)
+
+
 def test_convex_split_verify():
     f = StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0)
     split = convex_split(f, 0.3)
