@@ -305,10 +305,11 @@ def _graded_unit(m: int, j: np.ndarray):
 
 @lru_cache(maxsize=2)
 def _graded_grid(m: int):
-    """_graded_unit of a whole grid of at most _CHUNK nodes, read-only.
+    """_graded_unit of the whole grid of m nodes, read-only.
 
-    Cached because a sweep asks for the same pair of grids at radius after
-    radius; two grids of at most one chunk each bound the memory it holds.
+    A sweep asks for the same few grids at radius after radius, and building
+    one costs about as much as evaluating a small tree on it.  Only grids of
+    at most _CHUNK nodes are asked for whole, so two of them bound the memory.
     """
     nodes = _graded_unit(m, np.arange(m, dtype=float))
     for x in nodes:
@@ -317,7 +318,8 @@ def _graded_grid(m: int):
 
 
 def _graded_nodes(radius: float, m: int, j: np.ndarray):
-    unit, w = _graded_grid(m) if m <= _CHUNK else _graded_unit(m, j)
+    # j is a run of distinct indices, so len(j) == m means the whole grid
+    unit, w = _graded_grid(m) if len(j) == m else _graded_unit(m, j)
     return radius * unit, w
 
 
@@ -328,8 +330,8 @@ def _weighted_sum(g: np.ndarray, w) -> float:
 def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
     """Circle mean of log(1 + |f|) over m nodes, chunked for memory.
 
-    nodes(m, j) gives the points and weights of node indices j (weights None:
-    equal weights, summed and divided by m).
+    nodes(m, j) gives the points and weights of the node indices j, a run of
+    consecutive integers (weights None: equal weights, summed and divided by m).
     """
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
@@ -341,34 +343,21 @@ def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
     return total / m
 
 
-def _pair_means(f: HoloFunction, nodes, m: int):
-    """Circle means of log(1 + |f|) on the grids m and 2m of one node rule.
-
-    Both grids go through one evaluation of f when they fit in one chunk:
-    at a few hundred nodes a call costs more than its nodes.
-    """
-    if 3 * m > _CHUNK:
-        return _mean_log1p_abs(f, nodes, m), _mean_log1p_abs(f, nodes, 2 * m)
-    (z1, w1), (z2, w2) = (nodes(k, np.arange(k, dtype=float)) for k in (m, 2 * m))
-    logmag, _ = _checked_logpolar(f, np.concatenate((z1, z2)))
-    g = np.logaddexp(0.0, logmag)
-    return _weighted_sum(g[:m], w1) / m, _weighted_sum(g[m:], w2) / (2 * m)
-
-
 def _settled_mean(f: HoloFunction, nodes, m: int, m_max: int, tol: float):
-    """Circle mean of log(1 + |f|) on the grids m and 2m, m doubling until
-    the two means differ by less than tol/4 or 2m reaches m_max.
+    """Circle mean of log(1 + |f|), doubling m until it moves by less than tol/4
+    or m reaches m_max.
 
-    Returns (mean, grid, delta, points): the mean on the finer grid of the
-    last pair, that grid's size, the difference of the pair's means and the
-    points evaluated.
+    Returns (mean, grid, delta, points): the mean on the last grid, that grid's
+    size, its difference from the mean on half as many nodes, and the points
+    evaluated.
     """
-    points = 0
+    v, points = _mean_log1p_abs(f, nodes, m), m
     while True:
-        v, v2 = _pair_means(f, nodes, m)
-        points, m, delta = points + 3 * m, 2 * m, abs(v2 - v)
+        v2 = _mean_log1p_abs(f, nodes, 2 * m)
+        m, points, delta = 2 * m, points + 2 * m, abs(v2 - v)
         if delta < tol / 4 or m >= m_max:
             return v2, m, delta, points
+        v = v2
 
 
 def radial_mean(f: HoloFunction, r: float, m: int) -> float:
@@ -424,13 +413,15 @@ def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
     tol (sqrt 2 - 1): the increments that would follow sum to less than tol.
     The rounding of 1 - r e^{i theta} is about 2^-52 / (1 - r) relative and
     must stay below tol, which ends the sweep at k < 52 + log2(tol) if that
-    comes before k = 40.  If the radius or grid budget runs out first the
-    running supremum is returned unconverged.  It is a valid lower bound
-    either way, the means being nondecreasing in r.
+    comes before k = 40.  At least two radii are swept, so that below
+    tol = 1e-15 a function whose means do not move still ends converged.  If
+    the radius or grid budget runs out first the running supremum is returned
+    unconverged.  It is a valid lower bound either way, the means being
+    nondecreasing in r.
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    k_max = max(1, min(_SWEEP_K, math.ceil(math.log2(min(tol, 1.0))) + 51))
+    k_max = max(2, min(_SWEEP_K, math.ceil(math.log2(min(tol, 1.0))) + 51))
     radii, means, grids, points = [], [], [], 0
     m, stop = 64, "radius-budget"
     for k in range(1, k_max + 1):

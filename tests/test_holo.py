@@ -210,12 +210,21 @@ def test_class_norm_reports_its_sweep():
     assert class_norm(constant(c), 1e-4).estimate == pytest.approx(math.log1p(abs(c)), abs=1e-13)
 
 
+def test_class_norm_sweeps_two_radii_below_the_rounding_limit():
+    # below tol 1e-15 the rounding bound allows no radius, yet means that
+    # do not move still settle on the second
+    res = class_norm(constant(0), 1e-16)
+    assert res.converged and len(res.radii) == 2
+    res = class_norm(inv_singular(), 1e-16)
+    assert not res.converged and len(res.radii) == 2
+
+
 def test_class_norm_grid_budget(monkeypatch):
     # a tol no grid can meet: the first radius exhausts the grid budget
     monkeypatch.setattr(holo, "_SWEEP_M_MAX", 256)
     res = class_norm(Polynomial.make([1, 1, 0.5j]), 1e-300)
     assert res.stop == "grid-budget" and not res.converged
-    assert res.grids == (256,) and res.points == 3 * 64 + 3 * 128  # pairs (64, 128), (128, 256)
+    assert res.grids == (256,) and res.points == 64 + 128 + 256
     assert res.delta >= 1e-300 / 4
 
 
