@@ -10,8 +10,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidParameterError
-from .stepfn import (StepFunction, _refine, dlog, lognorm, pointwise, restrict,
-                     scale)
+from .stepfn import (StepFunction, _computed, _refine, dlog, lognorm, pointwise,
+                     restrict, scale)
 
 _MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
 
@@ -206,7 +206,7 @@ def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
                     v = values[-1] + d1 * rho / (1 - rho)
         if v != 0:
             pieces.append((a, b, v))
-    return StepFunction.make(pieces, seq[0].total_measure)
+    return _computed(pieces, seq[0].total_measure)
 
 
 def cauchy_limit(seq, tol: float):

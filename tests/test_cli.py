@@ -143,6 +143,23 @@ def test_witness_nonconvex_refuses_a_split_too_large(capsys):
     assert err.startswith("error: invalid-parameter: eps = 1e-300 needs more than")
 
 
+HUGE = step_json((0, 0.5, 1e308), total=1)
+# a geometric tail with ratio 1 - 2^-40, whose extrapolated limit overflows
+TAIL = json.dumps([json.loads(step_json((0, 1e-300, v), total=1))
+                   for v in (1e297, 2e297, 2e297 + 1e297 * (1 - 2.0 ** -40))])
+
+
+@pytest.mark.parametrize("argv", [
+    ["dist", "--input", HUGE, "--other", step_json((0, 0.5, -1e308), total=1)],
+    ["witness", "nonconvex", "--input", HUGE],
+    ["cauchy", "--input", TAIL],
+])
+def test_overflowing_result_is_an_invalid_parameter(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == "error: invalid-parameter: value overflows a double\n"
+
+
 def test_witness_nonbounded(capsys):
     code, out, _ = run(capsys, "witness", "nonbounded", "--eps", "1", "--N", "2")
     assert code == 0

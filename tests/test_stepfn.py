@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError,
                     MalformedInputError, SingularStep, StepFunction,
-                    approximate_in_l1, decreasing_rearrangement, dlog, l1norm,
-                    lognorm, orlicz_fnorm, pointwise, scale, truncate)
+                    approximate_in_l1, cauchy_limit, decreasing_rearrangement,
+                    dlog, l1norm, lognorm, orlicz_fnorm, pointwise, scale,
+                    stepfn, truncate, witnesses)
 
 E = math.e
 
@@ -110,6 +111,21 @@ def test_pointwise_refinement_subtraction():
     f = sf((0, 1, 2))
     g = sf((0.5, 1, 2))
     assert pointwise(f, g, "sub") == sf((0, 0.5, 2))
+
+
+@pytest.mark.parametrize("f, g, op", [
+    (sf((0, 0.5, 1e308), total=1.0), sf((0, 0.5, -1e308), total=1.0), "sub"),
+    (sf((0, 0.5, 1e200), total=1.0), sf((0, 0.5, 1e200), total=1.0), "mul"),
+])
+def test_pointwise_overflow_is_an_invalid_parameter(f, g, op):
+    # both operands are well formed; only the computed value leaves the doubles
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        pointwise(f, g, op)
+
+
+def test_scale_overflow_is_an_invalid_parameter():
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        scale(sf((0, 0.5, 1e308), total=1.0), 2)
 
 
 # --------------------------------------------------------------------- orlicz
@@ -324,3 +340,57 @@ def test_multiplication_continuity_along_truncation(rng):
     assert dists[-1] == 0.0
     tail = dists[4:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
+
+
+# ------------------------------------------------------------ refinement oracle
+
+def _refine_by_scan(fns):
+    """The quadratic refinement: every piece of every function scanned at every breakpoint."""
+    breaks = sorted({x for fn in fns for l, r, _ in fn.pieces for x in (l, r)})
+
+    def value_at(fn, left):
+        for l, r, v in fn.pieces:
+            if l <= left < r:
+                return v
+        return 0j
+
+    for a, b in zip(breaks, breaks[1:]):
+        yield a, b, [value_at(fn, a) for fn in fns]
+
+
+@st.composite
+def grid_step_functions(draw):
+    """Pieces on the eighths of [0, 1): they touch, share endpoints, or vanish."""
+    n = draw(st.integers(0, 4))
+    endpoints = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * n, max_size=2 * n)))
+    values = st.sampled_from([0, 1, -1, 2j, 0.5])
+    return StepFunction.make([(endpoints[2 * i] / 8, endpoints[2 * i + 1] / 8, draw(values))
+                              for i in range(n) if endpoints[2 * i] < endpoints[2 * i + 1]],
+                             1.0)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.lists(step_functions() | grid_step_functions(), min_size=1, max_size=9))
+def test_refine_matches_the_scan(fns):
+    assert list(stepfn._refine(fns)) == list(_refine_by_scan(fns))
+
+
+def _pieces_400(rng):
+    cuts = np.sort(rng.uniform(0.0, 1.0, 800))
+    values = rng.normal(0, 10, 400) + 1j * rng.normal(0, 10, 400)
+    return StepFunction.make(zip(cuts[0::2], cuts[1::2], values), 1.0)
+
+
+def test_refinement_callers_match_the_scan(monkeypatch):
+    rng = np.random.default_rng(400)
+    f, g = _pieces_400(rng), _pieces_400(rng)
+    seq = [truncate(f, 2.0 ** k) for k in range(9)]
+
+    def outputs():
+        return ([pointwise(f, g, op) for op in ("add", "sub", "mul")],
+                dlog(f, g), cauchy_limit(seq, 1e-9))
+
+    walked = outputs()
+    monkeypatch.setattr(stepfn, "_refine", _refine_by_scan)
+    monkeypatch.setattr(witnesses, "_refine", _refine_by_scan)
+    assert walked == outputs()

@@ -106,6 +106,12 @@ def test_convex_split_refuses_a_split_too_large():
         convex_split(ONE, 1e-300)
 
 
+def test_convex_split_refuses_slices_beyond_the_doubles():
+    # n f for n = 2 already overflows a double
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        convex_split(StepFunction.make([(0, 0.5, 1e308)], 1.0), 0.1)
+
+
 def test_convex_split_verify():
     f = StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0)
     split = convex_split(f, 0.3)
@@ -175,6 +181,14 @@ def test_cauchy_geometric_sequence_extrapolates():
     assert limit == ONE
     dists = report.distances
     assert all(b < a for a, b in zip(dists, dists[1:]))
+
+
+def test_cauchy_limit_overflow_is_an_invalid_parameter():
+    # the geometric extrapolation with ratio 1 - 2^-40 leaves the doubles
+    seq = [StepFunction.make([(0, 1e-300, v)], 1.0)
+           for v in (1e297, 2e297, 2e297 + 1e297 * (1 - 2.0 ** -40))]
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        cauchy_limit(seq, 1e-9)
 
 
 def test_cauchy_domain_mismatch():
