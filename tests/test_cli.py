@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import math
@@ -246,6 +247,14 @@ def test_emission_refuses_non_finite():
         jsonio.dumps({"x": complex(math.inf, 0)})
 
 
+def test_largest_double_is_emitted_not_refused(capsys):
+    # its 15-digit rounding, 1.79769313486232e+308, reads back as inf
+    big = step_json((0, 1, 1.7976931348623157e308), total=1)
+    code, out, err = run(capsys, "rearrange", "--input", big)
+    assert (code, err) == (0, "")
+    assert strict_loads(out) == {"steps": [{"w": 1.0, "h": 1.7976931348623157e308}]}
+
+
 def test_witness_nonconvex_requires_input(capsys):
     code, out, err = run(capsys, "witness", "nonconvex")
     assert code == 2
@@ -393,3 +402,82 @@ def test_any_document_gives_an_exit_code_and_strict_output(verb, doc, data):
     if out.getvalue():
         strict_loads(out.getvalue())
     assert all(line.startswith("error: ") for line in err.getvalue().splitlines())
+
+
+# Fixed inputs for the stdout golden test: values with 15 and more significant
+# digits, small and large magnitudes, integral floats and complex entries.
+GOLD_F = json.dumps({"total_measure": 1, "pieces": [
+    {"l": 0, "r": 0.125, "re": math.pi, "im": -1 / 7},
+    {"l": 0.125, "r": 0.4, "re": -1 / 3, "im": 0},
+    {"l": 0.4, "r": 0.75, "re": 2.5e-7, "im": 1e-5},
+    {"l": 0.75, "r": 1, "re": 12345.678901234567, "im": 2}]})
+GOLD_G = json.dumps({"total_measure": 1, "pieces": [
+    {"l": 0, "r": 0.3, "re": math.e, "im": 0},
+    {"l": 0.3, "r": 0.9, "re": 0.1, "im": -0.2}]})
+# diagonal, so that its singular values and vectors are exact
+GOLD_A = json.dumps({"n": 3, "re": [[3, 0, 0], [0, 1.5e15, 0], [0, 0, -1 / 3]],
+                     "im": [[4, 0, 0], [0, 0, 0], [0, 0, 1e-300]]})
+GOLD_B = json.dumps({"n": 3, "re": [[1, 2, 3], [0, 0.25, -1], [4e-3, 0, 9.75]],
+                     "im": [[0.1, 0, 0], [0, -0.3, 0], [0, 0, 1 / 9]]})
+GOLD_TREE = json.dumps({"op": "mul", "lhs": {"op": "blaschke", "a": {"re": 0.3, "im": -0.2}},
+                        "rhs": {"op": "poly", "coeffs": [{"re": 1, "im": 0},
+                                                         {"re": 0.5, "im": 0.25}]}})
+GOLD_Q = json.dumps({"total_measure": 1, "pieces": [
+    {"l": 0, "r": 0.25, "re": 1e15, "im": 5e-324},
+    {"l": 0.25, "r": 0.5, "re": 2.225073858507201e-308, "im": -0.0},
+    {"l": 0.5, "r": 1, "re": 9.999999999999995e14, "im": 123456789012345.0}]})
+GOLD_SEQ = json.dumps([{"total_measure": 1, "pieces": [
+    {"l": 0, "r": 0.5, "re": min(math.pi, 2.0 ** k)}, {"l": 0.5, "r": 1, "re": -1 / 3}]}
+    for k in range(-2, 4)])
+# sha256 of stdout, recorded with the json.dumps-based emitter that rounded
+# each float through float(f"{x:.15g}") before printing it
+GOLDEN = [
+    (["norm", "--input", GOLD_F],
+     "924486bf6327683dcc2c52b3565d64016e58467c6139aefca455701a9c48e77e"),
+    (["dist", "--input", GOLD_F, "--other", GOLD_G],
+     "6d9ef38bba6249cc31ff482e3abe70cdb1293a6e699864968df9fbeadc396182"),
+    (["orlicz", "--input", GOLD_F],
+     "3c837e6b31fc2190c1b4f0a2f8e06e52f95fce49705d417021da0e5c572be84a"),
+    (["rearrange", "--input", GOLD_F],
+     "8e1edeaaba08bfa784e0c192f3c1aa5d9d58964728cf6c37102c86fbacde7ba6"),
+    (["op-norm", "--input", GOLD_B],
+     "9cb3b3465df8ee4b83444d8aafb9c3781e127e430fe76e542f68beee3e7e86a9"),
+    (["op-dist", "--input", GOLD_A, "--other", GOLD_B],
+     "c3542098036c7495dd78cd2dc2d0d407ee12a0a12027f6f8707abfbbe65bf8c2"),
+    (["dtau", "--input", GOLD_A, "--other", GOLD_B],
+     "f77adfa1f02c0c9707a1c3718c25884b9d3265b76b1bbf128d4249c258912d1e"),
+    (["project", "--input", GOLD_A, "--a", "0.5"],
+     "56c9cc601a203df8bc704b7e4d6b1b99e877e0b626de5a9b818062df85620b42"),
+    (["project", "--input", GOLD_B, "--a", "1"],
+     "0af2f29b9438135f8a3297718f8efb47fd3d9230433adc5144d0a49ad1c1aff5"),
+    (["split", "--input", GOLD_A, "--K", "2"],
+     "92fc8bb8fc9b48e77722e9f2b732e680e0393d4263d74b1e04b337dd12fdd182"),
+    (["fkdet", "--input", GOLD_B],
+     "50bc670343f1f2340717651561961772df7a08506132f7d404ddffda6ea3529c"),
+    (["embed", "--input", GOLD_Q, "--n", "4"],
+     "cac312e315a9d56cc3b011883d17aae37e35533f0b974510708614d077a6d045"),
+    (["nev-eval", "--input", GOLD_TREE, "--re", "0.3", "--im", "0.4"],
+     "0eeae358e3fd9f966191b97f4ff63a40dc399cf4a95c2dd87a1cead640c6e97e"),
+    (["nev-sweep", "--input", GOLD_TREE, "--k-max", "4", "--m", "256", "--format", "json"],
+     "c01565cb7342ec6f1b98657cdd1b1a0c50c6cb5cd8ca624fd6b3bdccb69d26c8"),
+    (["nev-sweep", "--input", GOLD_TREE, "--k-max", "4", "--m", "256"],
+     "9399b0e2517a55fd9c4fc5ce842835e1a22e9b46f99e4095573252ce48382a9e"),
+    (["nev-smirnov", "--input", GOLD_TREE, "--tol", "1e-3"],
+     "39d980935222f3181ba93ecdabb05b833b6aee83c278cfd7e286978ebfe6ee46"),
+    (["witness", "nonbounded", "--eps", "0.1", "--N", "3"],
+     "276cc64916f249a3da8c34faaf4729d69c864a1960ab9d20ae91b20acdcacc20"),
+    (["witness", "nonconvex", "--input", GOLD_G, "--eps", "0.2"],
+     "e8c1829c2e761e8d2308c7aa7873bece1688e54c0bc69b0692475bb323d657ac"),
+    (["witness", "separation", "--k", "5"],
+     "789c4806d6e62e4e3632a067a7f17bbb6fcb01eddb33b20035a1cb5e1b9ae15a"),
+    (["cauchy", "--input", GOLD_SEQ],
+     "ba541181765d32f0f11b2ead362b644d1c4a776bf95aabf07bcd703d09248cdc"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", GOLDEN,
+                         ids=[f"{i:02d}-{argv[0]}" for i, (argv, _) in enumerate(GOLDEN)])
+def test_stdout_matches_the_recorded_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
