@@ -8,19 +8,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
 from .stepfn import SingularStep, StepFunction
 
-#: singular values below RANK_RTOL * sigma_max are treated as exact zeros
-RANK_RTOL = 1e-12
-
 
 @dataclass(frozen=True)
 class MatrixOperator:
-    """n x n complex matrix with the normalized trace tau = (1/n) Tr."""
+    """n x n complex matrix with the normalized trace tau = (1/n) Tr.
+
+    `make` freezes a copy of the entries, so a cached SVD cannot go stale."""
 
     entries: np.ndarray
     n: int
@@ -52,7 +52,19 @@ class MatrixOperator:
         return complex(np.trace(self.entries)) / self.n
 
     def operator_norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
+        return float(self.singular_values[0])
+
+    @cached_property
+    def singular_values(self) -> np.ndarray:
+        """Nonincreasing singular values of a values-only SVD, noise flushed to 0."""
+        return _flushed(np.linalg.svd(self.entries, compute_uv=False))
+
+    @cached_property
+    def singular_values_vh(self) -> tuple[np.ndarray, np.ndarray]:
+        """Flushed values and vh of the full SVD (values differ in the last bits)."""
+        _, s, vh = np.linalg.svd(self.entries)
+        vh.setflags(write=False)
+        return _flushed(s), vh
 
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
         _check_dims(self, other)
@@ -107,20 +119,17 @@ def _check_dims(a: MatrixOperator, b: MatrixOperator) -> None:
         raise DomainMismatchError(f"matrix size mismatch: {a.n} vs {b.n}")
 
 
-def _svd(T: MatrixOperator, vectors: bool = False):
-    """Nonincreasing singular values, tiny ones flushed to zero, and vh if vectors else None."""
-    if vectors:
-        _, s, vh = np.linalg.svd(T.entries)
-    else:
-        s, vh = np.linalg.svd(T.entries, compute_uv=False), None
+def _flushed(s: np.ndarray) -> np.ndarray:
+    """Read-only s with values at numpy's rank noise floor sigma_max * n * eps set to 0."""
     if s.size and s[0] > 0:
-        s = np.where(s < RANK_RTOL * s[0], 0.0, s)
-    return s, vh
+        s = np.where(s <= s[0] * s.size * np.finfo(float).eps, 0.0, s)
+    s.setflags(write=False)
+    return s
 
 
 def singular_numbers(T: MatrixOperator) -> SingularStep:
     """Singular values as a step function on (0, 1]: each carries width 1/n."""
-    return SingularStep.make([(1.0 / T.n, float(s)) for s in _svd(T)[0]])
+    return SingularStep.make([(1.0 / T.n, float(s)) for s in T.singular_values])
 
 
 def lognorm_op(T: MatrixOperator) -> float:
@@ -129,7 +138,7 @@ def lognorm_op(T: MatrixOperator) -> float:
     A nonzero T whose trace underflows gets the smallest positive double,
     so that lognorm_op(T) = 0 only for T = 0.
     """
-    s = _svd(T)[0]
+    s = T.singular_values
     total = float(np.log1p(s).sum()) / T.n
     return math.ulp(0.0) if total == 0.0 and s.any() else total
 
@@ -142,7 +151,7 @@ def measure_above(T: MatrixOperator, delta: float) -> float:
     """tau of the spectral projection of |T| onto [delta, inf)."""
     if not delta > 0:
         raise InvalidParameterError("delta must be positive")
-    return float(np.count_nonzero(_svd(T)[0] >= delta)) / T.n
+    return float(np.count_nonzero(T.singular_values >= delta)) / T.n
 
 
 def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
@@ -156,7 +165,7 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
     """
     _check_dims(A, B)
     total = 0.0
-    for sigma in _svd(A - B)[0]:
+    for sigma in (A - B).singular_values:
         if sigma < 2.0 ** -11:
             continue
         k0 = max(1, math.ceil(1.0 / sigma))
@@ -171,7 +180,7 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
 
 def _right_singular_projector(T: MatrixOperator, member) -> np.ndarray:
     """Projection onto the right-singular vectors whose sigma satisfies member()."""
-    s, vh = _svd(T, vectors=True)
+    s, vh = T.singular_values_vh
     rows = vh[[bool(member(float(x))) for x in s], :]
     return rows.conj().T @ rows
 
@@ -200,7 +209,7 @@ def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
 
 def fk_determinant(T: MatrixOperator) -> float:
     """exp(tau(log |T|)): the geometric mean of the singular values."""
-    s = _svd(T)[0]
+    s = T.singular_values
     if np.any(s == 0.0):
         return 0.0
     return float(math.exp(np.log(s).sum() / T.n))

@@ -429,8 +429,30 @@ GOLD_Q = json.dumps({"total_measure": 1, "pieces": [
 GOLD_SEQ = json.dumps([{"total_measure": 1, "pieces": [
     {"l": 0, "r": 0.5, "re": min(math.pi, 2.0 ** k)}, {"l": 0.5, "r": 1, "re": -1 / 3}]}
     for k in range(-2, 4)])
+
+
+# GOLD_A: sigma = |3 + 4i| = 5 lies above the rank noise floor 1.5e15 * 3 * eps ~ 1.0,
+# sigma = 1/3 below it
+def test_split_of_gold_a_puts_3_4i_in_the_tail(capsys):
+    code, out, _ = run(capsys, "split", "--input", GOLD_A, "--K", "2")
+    assert code == 0
+    parts = json.loads(out)
+    tail, bounded = parts["tail_part"], parts["bounded_part"]
+    assert (tail["re"][0][0], tail["im"][0][0]) == pytest.approx((3, 4), rel=1e-12)
+    assert (bounded["re"][0][0], bounded["im"][0][0]) == pytest.approx((0, 0), abs=1e-12)
+
+
+def test_project_of_gold_a_has_trace_2_3(capsys):
+    code, out, _ = run(capsys, "project", "--input", GOLD_A, "--a", "0.5")
+    assert code == 0
+    p = json.loads(out)
+    assert sum(p["re"][i][i] for i in range(3)) / 3 == pytest.approx(2 / 3, rel=1e-12)
+
+
 # sha256 of stdout, recorded with the json.dumps-based emitter that rounded
-# each float through float(f"{x:.15g}") before printing it
+# each float through float(f"{x:.15g}") before printing it; the GOLD_A op-dist,
+# dtau, project and split digests re-recorded when singular values at or below
+# sigma_max * n * eps, in place of 1e-12 * sigma_max, became the exact zeros
 GOLDEN = [
     (["norm", "--input", GOLD_F],
      "924486bf6327683dcc2c52b3565d64016e58467c6139aefca455701a9c48e77e"),
@@ -443,15 +465,15 @@ GOLDEN = [
     (["op-norm", "--input", GOLD_B],
      "9cb3b3465df8ee4b83444d8aafb9c3781e127e430fe76e542f68beee3e7e86a9"),
     (["op-dist", "--input", GOLD_A, "--other", GOLD_B],
-     "c3542098036c7495dd78cd2dc2d0d407ee12a0a12027f6f8707abfbbe65bf8c2"),
+     "373c44bb3522cf0815cf31c6a2b52a56e0512bb39e8c3867302f637c9a180532"),
     (["dtau", "--input", GOLD_A, "--other", GOLD_B],
-     "f77adfa1f02c0c9707a1c3718c25884b9d3265b76b1bbf128d4249c258912d1e"),
+     "a7811f39815c9482253fcf0b9f3260e9fef52cf7eb48bfd7569c56cd079469e4"),
     (["project", "--input", GOLD_A, "--a", "0.5"],
-     "56c9cc601a203df8bc704b7e4d6b1b99e877e0b626de5a9b818062df85620b42"),
+     "01ff23c42f71ce0eabdbbd4ccd67cc195a53d571bac5ad56f063099b95cf63b1"),
     (["project", "--input", GOLD_B, "--a", "1"],
      "0af2f29b9438135f8a3297718f8efb47fd3d9230433adc5144d0a49ad1c1aff5"),
     (["split", "--input", GOLD_A, "--K", "2"],
-     "92fc8bb8fc9b48e77722e9f2b732e680e0393d4263d74b1e04b337dd12fdd182"),
+     "f9c15065521b4f83e4b643c8e534d1359cc5a200d98a3ce2329dddc33d4bed1c"),
     (["fkdet", "--input", GOLD_B],
      "50bc670343f1f2340717651561961772df7a08506132f7d404ddffda6ea3529c"),
     (["embed", "--input", GOLD_Q, "--n", "4"],

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError,
                     MalformedInputError, MatrixOperator, SingularStep, StepFunction,
@@ -212,6 +214,20 @@ def test_fk_determinant_singular_matrix():
     assert fk_determinant(mat([[0, 2], [0, 0]])) == 0.0
 
 
+def test_small_singular_values_above_the_noise_floor_are_kept():
+    # sigma = 1 is far above the rank noise floor sigma_max * n * eps = 4.4e-3
+    T = diag(1e13, 1)
+    assert fk_determinant(T) == pytest.approx(math.sqrt(1e13), rel=1e-12)
+    assert lognorm_op(T) == pytest.approx((math.log1p(1e13) + math.log(2)) / 2, rel=1e-12)
+
+
+def test_rounding_noise_of_a_rank_one_matrix_is_an_exact_zero():
+    # the SVD returns about 2e-16 for the second singular value, below 5 * 2 * eps
+    T = mat([[1, 2], [2, 4]])
+    assert singular_numbers(T).steps[-1] == (0.5, 0.0)
+    assert fk_determinant(T) == 0.0
+
+
 # ------------------------------------------------------------------ embedding
 
 def test_embed_diagonal_half_support():
@@ -295,3 +311,87 @@ def test_one_sided_multiplication_continuity(rng):
     tail = norms[2:]
     assert all(b <= a + 1e-12 for a, b in zip(tail, tail[1:]))
     assert norms[-1] < 1e-6
+
+
+# ---------------------------------------------------------------- SVD cache
+
+@pytest.fixture
+def svd_calls(monkeypatch):
+    """compute_uv of every np.linalg.svd call: False for values only, True for full."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counted(a, *args, **kw):
+        calls.append(kw.get("compute_uv", True))
+        return svd(a, *args, **kw)
+    monkeypatch.setattr(np.linalg, "svd", counted)
+    return calls
+
+
+def _split_bits(T, c):
+    s = split_at(T, c)
+    return s.bounded_part.entries.tobytes(), s.tail_part.entries.tobytes()
+
+
+# every functional that reads a cached decomposition, with results that compare by ==
+FUNCTIONALS = [
+    lambda T, c: lognorm_op(T),
+    lambda T, c: measure_above(T, c),
+    lambda T, c: singular_numbers(T),
+    lambda T, c: fk_determinant(T),
+    lambda T, c: T.operator_norm(),
+    lambda T, c: spectral_project(T, c).entries.tobytes(),
+    _split_bits,
+]
+
+
+def test_one_decomposition_of_each_kind_per_operator(rng, svd_calls):
+    T = make_random_matrix(rng, 6)
+    for f in FUNCTIONALS[:5] * 2:
+        f(T, 1.0)
+    assert svd_calls == [False]
+    for f in FUNCTIONALS[5:] * 2:
+        f(T, 1.0)
+    assert svd_calls == [False, True]
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_cached_functionals_equal_a_fresh_operator(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rank = data.draw(st.integers(0, n))
+    S = make_random_matrix(rng, n).entries.copy()
+    S[:, rank:] = 0
+    T = mat(S) @ make_random_matrix(rng, n).scaled(2.0 ** data.draw(st.integers(-8, 8)))
+    c = data.draw(st.floats(0.01, 100.0))
+    first = [f(T, c) for f in FUNCTIONALS]
+    assert [f(T, c) for f in FUNCTIONALS] == first
+    assert [f(MatrixOperator.make(T.entries), c) for f in FUNCTIONALS] == first
+
+
+def test_cached_decompositions_cannot_go_stale(rng):
+    a = make_random_matrix(rng, 5).entries.copy()
+    want = [f(mat(a), 1.0) for f in FUNCTIONALS]
+    T = mat(a)
+    a[0, 0] = 100.0  # before the first decomposition
+    assert [f(T, 1.0) for f in FUNCTIONALS] == want
+    a[1, 1] = 100.0  # after it
+    assert [f(T, 1.0) for f in FUNCTIONALS] == want
+    for frozen in (T.entries, T.singular_values, *T.singular_values_vh):
+        with pytest.raises(ValueError):
+            frozen[0] = 0.0
+    assert [f(T, 1.0) for f in FUNCTIONALS] == want
+
+
+def test_derived_operators_run_their_own_svd(rng, svd_calls):
+    S, T = make_random_matrix(rng, 4), make_random_matrix(rng, 4)
+    for A in (S, T):
+        lognorm_op(A)
+        spectral_project(A, 1.0)
+    del svd_calls[:]
+    derived = [T.adjoint(), T.scaled(2.0), S + T, S - T, S @ T]
+    for D in derived:
+        lognorm_op(D)
+        spectral_project(D, 1.0)
+    assert svd_calls == [False, True] * len(derived)
+    assert lognorm_op(T.scaled(2.0)) > lognorm_op(T)
