@@ -7,6 +7,7 @@ singular number function; every functional here is a function of them.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -18,12 +19,15 @@ from .stepfn import SingularStep, StepFunction
 
 @dataclass(frozen=True)
 class MatrixOperator:
-    """n x n complex matrix with the normalized trace tau = (1/n) Tr.
-
-    `make` freezes a copy of the entries, so a cached SVD cannot go stale."""
+    """n x n complex matrix, tau = (1/n) Tr, over a read-only copy of its entries."""
 
     entries: np.ndarray
     n: int
+
+    def __post_init__(self):
+        a = np.array(self.entries, dtype=complex)
+        a.setflags(write=False)
+        object.__setattr__(self, "entries", a)
 
     @staticmethod
     def make(entries) -> "MatrixOperator":
@@ -32,8 +36,6 @@ class MatrixOperator:
             raise MalformedInputError("entries must form a square matrix of size >= 1")
         if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
             raise MalformedInputError("matrix entries must be finite")
-        a = a.copy()
-        a.setflags(write=False)
         return MatrixOperator(a, a.shape[0])
 
     @staticmethod
@@ -120,9 +122,11 @@ def _check_dims(a: MatrixOperator, b: MatrixOperator) -> None:
 
 
 def _flushed(s: np.ndarray) -> np.ndarray:
-    """Read-only s with values at numpy's rank noise floor sigma_max * n * eps set to 0."""
+    """Read-only s with values at numpy's rank noise floor sigma_max * n * eps set to 0;
+    an overflowing sigma_max * n counts as the largest double, so sigma_max = inf is kept."""
     if s.size and s[0] > 0:
-        s = np.where(s <= s[0] * s.size * np.finfo(float).eps, 0.0, s)
+        floor = min(float(s[0]) * s.size, sys.float_info.max) * sys.float_info.epsilon
+        s = np.where(s <= floor, 0.0, s)
     s.setflags(write=False)
     return s
 

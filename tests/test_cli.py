@@ -356,6 +356,15 @@ def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     assert len(err.splitlines()) == 1
 
 
+def test_op_norm_of_an_overflowing_sigma_max_is_not_finite(capsys):
+    # sigma_max = 2e308 of finite entries: no finite log-norm, not the 0.0 of T = 0
+    matrix = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'
+    status, out, err = run(capsys, "op-norm", "--input", matrix)
+    assert (status, out) == (1, "")
+    assert err.startswith("error: invariant-check: result is not finite")
+    assert len(err.splitlines()) == 1
+
+
 def test_scale_to_lognorm_of_zero_is_refused():
     # lognorm(c * 0) = 0 stays below the target for every c
     with pytest.raises(InvalidParameterError):

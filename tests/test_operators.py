@@ -369,10 +369,11 @@ def test_cached_functionals_equal_a_fresh_operator(n, data):
     assert [f(MatrixOperator.make(T.entries), c) for f in FUNCTIONALS] == first
 
 
-def test_cached_decompositions_cannot_go_stale(rng):
+@pytest.mark.parametrize("build", [mat, lambda a: MatrixOperator(a, 5)], ids=["make", "init"])
+def test_cached_decompositions_cannot_go_stale(rng, build):
     a = make_random_matrix(rng, 5).entries.copy()
     want = [f(mat(a), 1.0) for f in FUNCTIONALS]
-    T = mat(a)
+    T = build(a)
     a[0, 0] = 100.0  # before the first decomposition
     assert [f(T, 1.0) for f in FUNCTIONALS] == want
     a[1, 1] = 100.0  # after it
@@ -381,6 +382,19 @@ def test_cached_decompositions_cannot_go_stale(rng):
         with pytest.raises(ValueError):
             frozen[0] = 0.0
     assert [f(T, 1.0) for f in FUNCTIONALS] == want
+
+
+def test_an_overflowing_sigma_max_is_not_flushed():
+    # finite entries whose sigma_max = 2e308 overflows to inf; sigma_2 = 0
+    T = mat([[1e308, 1e308], [1e308, 1e308]])
+    assert lognorm_op(T) == math.inf
+    assert T.operator_norm() == math.inf
+    assert measure_above(T, 1.0) == 0.5
+    assert dtau(T, MatrixOperator.zero(2)) == 0.5
+    # sigma = sqrt(2) * 1e308 twice: finite, though sigma_max * n overflows
+    T = mat([[1e308, 1e308], [1e308, -1e308]])
+    assert list(T.singular_values) == pytest.approx([math.sqrt(2) * 1e308] * 2, rel=1e-12)
+    assert lognorm_op(T) == pytest.approx(math.log(math.sqrt(2) * 1e308), rel=1e-12)
 
 
 def test_derived_operators_run_their_own_svd(rng, svd_calls):
