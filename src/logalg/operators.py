@@ -17,26 +17,28 @@ from .errors import DomainMismatchError, InvalidParameterError, MalformedInputEr
 from .stepfn import SingularStep, StepFunction
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MatrixOperator:
-    """n x n complex matrix, tau = (1/n) Tr, over a read-only copy of its entries."""
+    """Checked, read-only n x n complex matrix with tau = (1/n) Tr; == and hash by identity."""
 
     entries: np.ndarray
-    n: int
 
     def __post_init__(self):
         a = np.array(self.entries, dtype=complex)
+        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
+            raise MalformedInputError("entries must form a square matrix of size >= 1")
+        if not np.all(np.isfinite(a)):
+            raise MalformedInputError("matrix entries must be finite")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
+    @property
+    def n(self) -> int:
+        return len(self.entries)
+
     @staticmethod
     def make(entries) -> "MatrixOperator":
-        a = np.asarray(entries, dtype=complex)
-        if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
-            raise MalformedInputError("entries must form a square matrix of size >= 1")
-        if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-            raise MalformedInputError("matrix entries must be finite")
-        return MatrixOperator(a, a.shape[0])
+        return MatrixOperator(entries)
 
     @staticmethod
     def zero(n: int) -> "MatrixOperator":
@@ -49,10 +51,6 @@ class MatrixOperator:
     def adjoint(self) -> "MatrixOperator":
         return MatrixOperator.make(self.entries.conj().T)
 
-    def trace(self) -> complex:
-        """Normalized trace."""
-        return complex(np.trace(self.entries)) / self.n
-
     def operator_norm(self) -> float:
         return float(self.singular_values[0])
 
@@ -62,11 +60,11 @@ class MatrixOperator:
         return _flushed(np.linalg.svd(self.entries, compute_uv=False))
 
     @cached_property
-    def singular_values_vh(self) -> tuple[np.ndarray, np.ndarray]:
-        """Flushed values and vh of the full SVD (values differ in the last bits)."""
-        _, s, vh = np.linalg.svd(self.entries)
+    def vh(self) -> np.ndarray:
+        """Read-only vh of the full SVD: row i belongs to singular_values[i]."""
+        vh = np.linalg.svd(self.entries)[2]
         vh.setflags(write=False)
-        return _flushed(s), vh
+        return vh
 
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
         _check_dims(self, other)
@@ -167,7 +165,6 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
     Below sigma = 2^-11, k0 >= 2^11 and that contribution underflows to
     0.0, so such values are skipped before 1/sigma can overflow.
     """
-    _check_dims(A, B)
     total = 0.0
     for sigma in (A - B).singular_values:
         if sigma < 2.0 ** -11:
@@ -184,8 +181,7 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
 
 def _right_singular_projector(T: MatrixOperator, member) -> np.ndarray:
     """Projection onto the right-singular vectors whose sigma satisfies member()."""
-    s, vh = T.singular_values_vh
-    rows = vh[[bool(member(float(x))) for x in s], :]
+    rows = T.vh[[bool(member(float(x))) for x in T.singular_values], :]
     return rows.conj().T @ rows
 
 
@@ -195,15 +191,17 @@ def spectral_project(T: MatrixOperator, a: float, b: float = math.inf) -> Matrix
         raise InvalidParameterError("interval must lie in [0, inf)")
     if not b > a:
         raise InvalidParameterError("interval requires a < b")
-    return MatrixOperator.make(_right_singular_projector(T, lambda s: a <= s < b))
+    p = _right_singular_projector(T, lambda s: a <= s < b)
+    p += p.conj().T  # exactly Hermitian: entry (j, i) is the conjugate of entry (i, j)
+    p *= 0.5
+    return MatrixOperator.make(p)
 
 
 def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
     """Split T = T E_{|T|}([0, K]) + T E_{|T|}((K, inf))."""
     if not K > 0:
         raise InvalidParameterError("cutoff K must be positive")
-    p_tail = _right_singular_projector(T, lambda s: s > K)
-    tail = T.entries @ p_tail
+    tail = T.entries @ _right_singular_projector(T, lambda s: s > K)
     return SpectralSplit(
         bounded_part=MatrixOperator.make(T.entries - tail),
         tail_part=MatrixOperator.make(tail),

@@ -71,9 +71,6 @@ class StepFunction:
     def zero(total_measure: float = math.inf) -> "StepFunction":
         return StepFunction((), float(total_measure))
 
-    def support_measure(self) -> float:
-        return sum(r - l for l, r, _ in self.pieces)
-
     def is_zero(self) -> bool:
         return not self.pieces
 

@@ -458,10 +458,22 @@ def test_project_of_gold_a_has_trace_2_3(capsys):
     assert sum(p["re"][i][i] for i in range(3)) / 3 == pytest.approx(2 / 3, rel=1e-12)
 
 
+def test_printed_projection_is_exactly_hermitian(capsys):
+    code, out, _ = run(capsys, "project", "--input", GOLD_B, "--a", "1")
+    assert code == 0
+    p = json.loads(out)
+    re, im = p["re"], p["im"]
+    assert re == [list(row) for row in zip(*re)]
+    assert im == [[-x for x in row] for row in zip(*im)]
+    assert [im[i][i] for i in range(3)] == [0.0] * 3
+
+
 # sha256 of stdout, recorded with the json.dumps-based emitter that rounded
 # each float through float(f"{x:.15g}") before printing it; the GOLD_A op-dist,
 # dtau, project and split digests re-recorded when singular values at or below
-# sigma_max * n * eps, in place of 1e-12 * sigma_max, became the exact zeros
+# sigma_max * n * eps, in place of 1e-12 * sigma_max, became the exact zeros;
+# the GOLD_B project digest re-recorded when spectral_project became exactly
+# Hermitian, which turned its diagonal's imaginary rounding noise into 0.0
 GOLDEN = [
     (["norm", "--input", GOLD_F],
      "924486bf6327683dcc2c52b3565d64016e58467c6139aefca455701a9c48e77e"),
@@ -480,7 +492,7 @@ GOLDEN = [
     (["project", "--input", GOLD_A, "--a", "0.5"],
      "01ff23c42f71ce0eabdbbd4ccd67cc195a53d571bac5ad56f063099b95cf63b1"),
     (["project", "--input", GOLD_B, "--a", "1"],
-     "0af2f29b9438135f8a3297718f8efb47fd3d9230433adc5144d0a49ad1c1aff5"),
+     "6d7e823faabc2fd821affbeb8bdfa903265efbc0eeab9709d1f0d182173096c2"),
     (["split", "--input", GOLD_A, "--K", "2"],
      "f9c15065521b4f83e4b643c8e534d1359cc5a200d98a3ce2329dddc33d4bed1c"),
     (["fkdet", "--input", GOLD_B],

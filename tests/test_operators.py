@@ -32,6 +32,36 @@ def test_from_json_refuses_integer_beyond_double():
         MatrixOperator.from_json({"n": 1, "re": [[10 ** 400]]})
 
 
+# -------------------------------------------------------------- construction
+
+@pytest.mark.parametrize("build", [MatrixOperator.make, MatrixOperator], ids=["make", "init"])
+@pytest.mark.parametrize("entries", [
+    np.ones((2, 3)), np.zeros((0, 0)), np.ones(3), np.ones((1, 1, 1)),
+    np.array([[np.nan]]), np.array([[1, np.inf], [0, 1]]), np.array([[complex(0, -np.inf)]]),
+], ids=["2x3", "0x0", "vector", "3d", "nan", "inf", "imag-inf"])
+def test_every_construction_refuses_malformed_entries(build, entries):
+    with pytest.raises(MalformedInputError):
+        build(entries)
+
+
+@pytest.mark.parametrize("build", [MatrixOperator.make, MatrixOperator], ids=["make", "init"])
+def test_n_is_the_size_of_the_entries(build):
+    T = build(np.eye(2))
+    assert T.n == len(T.entries) == 2
+    assert lognorm_op(T) == math.log(2)
+    assert measure_above(T, 0.5) == 1.0
+    with pytest.raises(TypeError):
+        MatrixOperator(np.eye(2), 5)  # no size can disagree with the entries
+
+
+def test_operators_compare_and_hash_by_identity():
+    A = mat(np.eye(2))
+    assert A == A
+    assert A != MatrixOperator.make(A.entries)
+    assert {A, A} == {A}
+    assert hash(A) == hash(A)
+
+
 # ----------------------------------------------------------- singular numbers
 
 def test_singular_numbers_diagonal():
@@ -156,7 +186,7 @@ def test_spectral_project_idempotent_selfadjoint(rng):
         T = make_random_matrix(rng, int(rng.integers(1, 7)))
         P = spectral_project(T, 1.0)
         assert np.allclose(P.entries @ P.entries, P.entries, atol=1e-10)
-        assert np.allclose(P.entries.conj().T, P.entries, atol=1e-10)
+        assert np.array_equal(P.entries.conj().T, P.entries)
 
 
 def test_spectral_project_invalid_interval():
@@ -369,7 +399,7 @@ def test_cached_functionals_equal_a_fresh_operator(n, data):
     assert [f(MatrixOperator.make(T.entries), c) for f in FUNCTIONALS] == first
 
 
-@pytest.mark.parametrize("build", [mat, lambda a: MatrixOperator(a, 5)], ids=["make", "init"])
+@pytest.mark.parametrize("build", [mat, MatrixOperator], ids=["make", "init"])
 def test_cached_decompositions_cannot_go_stale(rng, build):
     a = make_random_matrix(rng, 5).entries.copy()
     want = [f(mat(a), 1.0) for f in FUNCTIONALS]
@@ -378,10 +408,29 @@ def test_cached_decompositions_cannot_go_stale(rng, build):
     assert [f(T, 1.0) for f in FUNCTIONALS] == want
     a[1, 1] = 100.0  # after it
     assert [f(T, 1.0) for f in FUNCTIONALS] == want
-    for frozen in (T.entries, T.singular_values, *T.singular_values_vh):
+    for frozen in (T.entries, T.singular_values, T.vh):
         with pytest.raises(ValueError):
             frozen[0] = 0.0
     assert [f(T, 1.0) for f in FUNCTIONALS] == want
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 12), data=st.data())
+def test_projections_and_splits_select_by_the_measured_singular_values(n, data):
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    rank = data.draw(st.integers(0, n))
+    S = make_random_matrix(rng, n).entries.copy()
+    S[:, rank:] = 0
+    T = mat(S) @ make_random_matrix(rng, n)
+    s = T.singular_values
+    for delta in s[s > 0]:
+        # n tau(E_{|T|}([delta, inf))) counts the sigma >= delta, as measure_above does
+        P = spectral_project(T, delta)
+        assert round(np.trace(P.entries).real) == round(n * measure_above(T, delta))
+        # the tail holds exactly the sigma > delta; sigma = delta stays bounded
+        tail = split_at(T, delta).tail_part.singular_values
+        want = np.where(s > delta, s, 0.0)
+        assert np.allclose(tail, want, rtol=0, atol=1e-9 * s[0])
 
 
 def test_an_overflowing_sigma_max_is_not_flushed():

@@ -3,8 +3,9 @@ import math
 import pytest
 
 from logalg import (DomainMismatchError, InvalidParameterError, StepFunction,
-                    cauchy_limit, convex_split, dlog, lognorm, scale,
+                    cauchy_limit, convex_split, dlog, lognorm, pointwise, scale,
                     separation_sequence, truncate, unboundedness_witness)
+from conftest import make_random_step
 
 ONE = StepFunction.make([(0, 1, 1.0)], 1.0)
 
@@ -83,6 +84,22 @@ def test_convex_split_piece_norms_balanced():
     for p in split.pieces:
         assert lognorm(p) == pytest.approx(total / split.n, abs=1e-12)
     assert dlog(split.average(), f) <= 1e-15
+
+
+def folded_average(split):
+    """Reference mean of the slices: one pointwise addition per slice."""
+    acc = StepFunction.zero(1.0)
+    for p in split.pieces:
+        acc = pointwise(acc, p, "add")
+    return scale(acc, 1.0 / split.n)
+
+
+def test_convex_split_average_equals_the_folded_sum(rng):
+    draws = [(ONE, 0.1), (StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0), 0.3)]
+    draws += [(make_random_step(rng, max_pieces=20), eps) for eps in (0.2, 0.05) for _ in range(10)]
+    for f, eps in draws:
+        split = convex_split(f, eps)
+        assert split.average() == folded_average(split)
 
 
 def test_convex_split_breakpoints_do_not_drift():
