@@ -12,33 +12,36 @@ import json
 import math
 import sys
 
-from . import holo, jsonio, operators as ops, selftest, stepfn, witnesses
+import logalg
+
+from . import jsonio, stepfn, witnesses
 from .errors import InvalidParameterError, InvariantError, LogAlgError, MalformedInputError
 
 
 def _load_json(source: str):
-    if source == "-":
-        text = sys.stdin.read()
-    else:
-        try:
-            with open(source) as fh:
-                text = fh.read()
-        except OSError as exc:
-            if not source.lstrip().startswith(("{", "[")):
-                raise MalformedInputError(
-                    f"cannot read input file {source}: {exc.strerror}") from exc
-            text = source  # inline JSON
     try:
+        if source == "-":
+            text = sys.stdin.read()
+        else:
+            try:
+                with open(source, encoding="utf-8") as fh:
+                    text = fh.read()
+            except OSError as exc:
+                if not source.lstrip().startswith(("{", "[")):
+                    raise MalformedInputError(
+                        f"cannot read input file {source}: {exc.strerror}") from exc
+                text = source  # inline JSON
         return json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:  # JSON is UTF-8 (RFC 8259)
         raise MalformedInputError(f"invalid JSON: {exc}") from exc
 
 
 # Operand parsers look the library up when called, so that a from_json
-# replaced on its class or module is the one that runs.
+# replaced on its class or module is the one that runs, and so that numpy
+# loads (with holo, operators and selftest) only for the verbs that use it.
 STEP = lambda obj: stepfn.StepFunction.from_json(obj)  # noqa: E731
-MATRIX = lambda obj: ops.MatrixOperator.from_json(obj)  # noqa: E731
-TREE = lambda obj: holo.from_json(obj)  # noqa: E731
+MATRIX = lambda obj: logalg.operators.MatrixOperator.from_json(obj)  # noqa: E731
+TREE = lambda obj: logalg.holo.from_json(obj)  # noqa: E731
 
 
 def _step_list(obj) -> list:
@@ -48,7 +51,7 @@ def _step_list(obj) -> list:
 
 
 def _sweep(args, f):
-    rows = [(r, holo.radial_mean(f, r, args.m))
+    rows = [(r, logalg.holo.radial_mean(f, r, args.m))
             for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
     if args.format == "json":
         return {"sweep": [{"r": r, "mean": v} for r, v in rows]}
@@ -83,7 +86,7 @@ def _witness(args, f=None):
 
 
 def _selftest(args) -> None:
-    failures = selftest.run_all(seed=args.seed, trials=args.trials)
+    failures = logalg.selftest.run_all(seed=args.seed, trials=args.trials)
     if failures:
         raise InvariantError(f"selftest failed: {', '.join(failures)}")
 
@@ -104,32 +107,33 @@ VERBS = (
     ("rearrange", "decreasing rearrangement", (STEP,), (INPUT,),
      lambda a, f: stepfn.decreasing_rearrangement(f).to_json()),
     ("op-norm", "matrix log F-norm", (MATRIX,), (INPUT,),
-     lambda a, T: {"lognorm": ops.lognorm_op(T)}),
+     lambda a, T: {"lognorm": logalg.operators.lognorm_op(T)}),
     ("op-dist", "matrix dlog metric", (MATRIX, MATRIX), (INPUT, OTHER),
-     lambda a, S, T: {"dlog": ops.dlog_op(S, T)}),
+     lambda a, S, T: {"dlog": logalg.operators.dlog_op(S, T)}),
     ("dtau", "measure-topology metric", (MATRIX, MATRIX), (INPUT, OTHER),
-     lambda a, S, T: {"dtau": ops.dtau(S, T)}),
+     lambda a, S, T: {"dtau": logalg.operators.dtau(S, T)}),
     ("project", "spectral projection of |T|", (MATRIX,),
      (INPUT, ("--a", dict(type=float, required=True)),
       ("--b", dict(type=float, default=None, help="omit for [a, inf)"))),
-     lambda a, T: ops.spectral_project(T, a.a, math.inf if a.b is None else a.b).to_json()),
+     lambda a, T: logalg.operators.spectral_project(
+         T, a.a, math.inf if a.b is None else a.b).to_json()),
     ("split", "bounded/tail spectral split", (MATRIX,),
      (INPUT, ("--K", dict(type=float, required=True))),
-     lambda a, T: ops.split_at(T, a.K).to_json()),
+     lambda a, T: logalg.operators.split_at(T, a.K).to_json()),
     ("fkdet", "Fuglede-Kadison determinant", (MATRIX,), (INPUT,),
-     lambda a, T: {"fk_determinant": ops.fk_determinant(T)}),
+     lambda a, T: {"fk_determinant": logalg.operators.fk_determinant(T)}),
     ("embed", "diagonal embedding", (STEP,), (INPUT, ("--n", dict(type=int, required=True))),
-     lambda a, f: ops.embed_diagonal(f, a.n).to_json()),
+     lambda a, f: logalg.operators.embed_diagonal(f, a.n).to_json()),
     ("nev-eval", "evaluate a disk function", (TREE,),
      (INPUT, ("--re", dict(type=float, default=0.0)), ("--im", dict(type=float, default=0.0))),
-     lambda a, f: {"value": holo.evaluate(f, complex(a.re, a.im))}),
+     lambda a, f: {"value": logalg.holo.evaluate(f, complex(a.re, a.im))}),
     ("nev-sweep", "radial means along r = 1 - 2^-k", (TREE,),
      (INPUT, ("--k-max", dict(type=int, default=12)), ("--m", dict(type=int, default=4096)),
       ("--format", dict(choices=("json", "csv"), default="csv"))),
      _sweep),
     ("nev-smirnov", "Smirnov-class defect", (TREE,),
      (INPUT, ("--tol", dict(type=float, default=1e-4))),
-     lambda a, f: holo.smirnov_defect(f, a.tol).to_json()),
+     lambda a, f: logalg.holo.smirnov_defect(f, a.tol).to_json()),
     ("witness", "negative-result constructions", (STEP,),
      (("kind", dict(choices=("nonbounded", "nonconvex", "separation"))),
       ("--input", dict(help="step function (nonconvex only)")),

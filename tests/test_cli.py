@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import math
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
@@ -353,6 +354,18 @@ def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)
     assert (status, out) == (2, "")
     assert err.startswith(f"error: {prefix}")
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("via", ["file", "stdin"])
+def test_input_that_is_not_utf8_is_malformed(capsys, monkeypatch, tmp_path, via):
+    data = b'{"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": 1}], "note": "\xff"}'
+    path = tmp_path / "latin1.json"
+    path.write_bytes(data)
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data), encoding="utf-8"))
+    status, out, err = run(capsys, "norm", "--input", str(path) if via == "file" else "-")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: malformed-input: ")
     assert len(err.splitlines()) == 1
 
 
