@@ -51,6 +51,8 @@ def _step_list(obj) -> list:
 
 
 def _sweep(args, f):
+    if args.k_max < 1:
+        raise InvalidParameterError("k-max must be a positive integer")
     rows = [(r, logalg.holo.radial_mean(f, r, args.m))
             for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
     if args.format == "json":
@@ -68,6 +70,8 @@ def _cauchy(args, seq) -> dict:
 def _witness(args, f=None):
     """The separation document; the other two kinds print theirs, then re-check it."""
     if args.kind == "separation":
+        if args.k < 1:
+            raise InvalidParameterError("k must be a positive integer")
         return {"sequence": [witnesses.separation_sequence(k).to_json()
                              for k in range(1, args.k + 1)]}
     if args.kind == "nonbounded":

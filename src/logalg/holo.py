@@ -8,6 +8,8 @@ a ratio of bounded analytic functions with a zero-free denominator.
 
 Evaluation is carried in log-polar form (log-modulus, unit phase) so that
 integrands like log(1 + |f|) stay finite even when |f| overflows a double.
+Circle means read only the log-modulus, which ``logmod`` computes without
+forming the phase.
 """
 from __future__ import annotations
 
@@ -37,8 +39,17 @@ class HoloFunction:
         """
         raise NotImplementedError
 
+    def logmod(self, z: np.ndarray) -> np.ndarray:
+        """log|value|, exactly logpolar(z)[0]; nodes override it to skip the phase."""
+        return self.logpolar(z)[0]
+
     def to_json(self) -> dict:
         raise NotImplementedError
+
+
+def _log_abs(v: np.ndarray) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(v))
 
 
 def _logpolar_of_values(v: np.ndarray):
@@ -57,15 +68,25 @@ class Polynomial(HoloFunction):
     def make(coeffs) -> "Polynomial":
         return Polynomial(tuple(complex(c) for c in coeffs))
 
-    def logpolar(self, z):
+    def _scaled(self, z):
         # Horner on coeffs / max |coeff|, its log added back: no overflow for |z| <= 1
         top = max(map(abs, self.coeffs), default=0.0) or 1.0
         acc = np.zeros_like(np.asarray(z, dtype=complex))
         for c in reversed(self.coeffs):
             acc = acc * z + c / top
+        return acc, math.log(top)
+
+    def logpolar(self, z):
+        acc, log_top = self._scaled(z)
         logmag, phase = _logpolar_of_values(acc)
-        logmag += math.log(top)
+        logmag += log_top
         return logmag, phase
+
+    def logmod(self, z):
+        acc, log_top = self._scaled(z)
+        logmag = _log_abs(acc)
+        logmag += log_top
+        return logmag
 
     def disk_zero_free(self) -> bool:
         cs = np.trim_zeros(np.asarray(self.coeffs, dtype=complex), "b")
@@ -106,6 +127,9 @@ class SafeRational(HoloFunction):
         ld, pd = self.denominator.logpolar(z)
         return ln - ld, pn / pd
 
+    def logmod(self, z):
+        return self.numerator.logmod(z) - self.denominator.logmod(z)
+
     def to_json(self):
         return {"op": "rational",
                 "num": self.numerator.to_json()["coeffs"],
@@ -125,9 +149,14 @@ class BlaschkeFactor(HoloFunction):
             raise InvalidParameterError("Blaschke parameter must satisfy |a| < 1")
         return BlaschkeFactor(a)
 
+    def _values(self, z):
+        return (z - self.a) / (1.0 - np.conj(self.a) * z)
+
     def logpolar(self, z):
-        v = (z - self.a) / (1.0 - np.conj(self.a) * z)
-        return _logpolar_of_values(v)
+        return _logpolar_of_values(self._values(z))
+
+    def logmod(self, z):
+        return _log_abs(self._values(z))
 
     def to_json(self):
         return {"op": "blaschke", "a": {"re": self.a.real, "im": self.a.imag}}
@@ -146,13 +175,21 @@ class SingularInner(HoloFunction):
             raise InvalidParameterError("singular inner weight must be nonnegative")
         return SingularInner(s)
 
-    def logpolar(self, z):
+    def _exponent(self, z):
+        """-s (1 + z) / (1 - z), the log of the value; refused at z = 1."""
         z = np.asarray(z, dtype=complex)
-        if np.any(np.abs(1.0 - z) < _BOUNDARY_GUARD):
+        d = 1.0 - z
+        if np.any(np.abs(d) < _BOUNDARY_GUARD):
             raise SingularityError(
                 "singular inner atom is not evaluable at z = 1", atom=self)
-        w = -self.s * (1.0 + z) / (1.0 - z)
+        return -self.s * (1.0 + z) / d
+
+    def logpolar(self, z):
+        w = self._exponent(z)
         return w.real, np.exp(1j * w.imag)
+
+    def logmod(self, z):
+        return self._exponent(z).real
 
     def to_json(self):
         return {"op": "singular", "s": self.s}
@@ -217,6 +254,16 @@ class Binary(HoloFunction):
                 "denominator vanishes at an evaluation point", atom=self.right)
         return _BINARY_OPS[self.op](l1, p1, l2, p2)
 
+    def logmod(self, z):
+        if self.op in ("add", "sub"):
+            return super().logmod(z)
+        l1, l2 = self.left.logmod(z), self.right.logmod(z)
+        # a phase is 0 only where its log-modulus is -inf or NaN: there
+        # logpolar gives the result, or refuses a vanishing denominator
+        if self.op == "div" and not (l2 > -np.inf).all():
+            return self.logpolar(z)[0]
+        return l1 + l2 if self.op == "mul" else l1 - l2
+
     def to_json(self):
         return {"op": self.op, "lhs": self.left.to_json(), "rhs": self.right.to_json()}
 
@@ -259,19 +306,12 @@ def _refuse_overflow(ok: np.ndarray, start: int = 0) -> None:
             f"value overflows a double at grid point index {start + int(np.argmin(ok))}")
 
 
-def _checked_logpolar(f: HoloFunction, z: np.ndarray, start: int = 0):
-    """Warning-free f.logpolar(z) refusing NaN or +inf log-moduli; z[0] is grid point start."""
-    with np.errstate(all="ignore"):
-        logmag, phase = f.logpolar(z)
-    _refuse_overflow(logmag < np.inf, start)  # False exactly at NaN and +inf
-    return logmag, phase
-
-
 def _values(f: HoloFunction, z: np.ndarray) -> np.ndarray:
     """Values of f at the points z, refused if any of them overflows a double."""
-    logmag, phase = _checked_logpolar(f, z)
     with np.errstate(all="ignore"):
+        logmag, phase = f.logpolar(z)
         vals = np.exp(logmag) * phase
+    _refuse_overflow(logmag < np.inf)  # False exactly at NaN and +inf
     _refuse_overflow(np.isfinite(vals))
     return vals
 
@@ -338,7 +378,9 @@ def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
     total = 0.0
     for start in range(0, m, _CHUNK):
         z, w = nodes(m, np.arange(start, min(start + _CHUNK, m), dtype=float))
-        logmag, _ = _checked_logpolar(f, z, start)
+        with np.errstate(all="ignore"):
+            logmag = f.logmod(z)
+        _refuse_overflow(logmag < np.inf, start)
         total += _weighted_sum(np.logaddexp(0.0, logmag), w)
     return total / m
 

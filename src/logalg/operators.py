@@ -40,14 +40,6 @@ class MatrixOperator:
     def make(entries) -> "MatrixOperator":
         return MatrixOperator(entries)
 
-    @staticmethod
-    def zero(n: int) -> "MatrixOperator":
-        return MatrixOperator.make(np.zeros((n, n)))
-
-    @staticmethod
-    def identity(n: int) -> "MatrixOperator":
-        return MatrixOperator.make(np.eye(n))
-
     def adjoint(self) -> "MatrixOperator":
         return MatrixOperator.make(self.entries.conj().T)
 

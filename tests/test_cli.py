@@ -349,6 +349,12 @@ BIG = "1" + "0" * 400  # an integer literal no double can hold
     (["witness", "nonbounded", "--eps", "inf"], "invalid-parameter: eps"),
     (["selftest", "--seed", "-1"], "invalid-parameter: seed"),
     (["selftest", "--trials", "0"], "invalid-parameter: trials"),
+    (["witness", "separation", "--k", "0"], "invalid-parameter: k must"),
+    (["witness", "separation", "--k", "-1"], "invalid-parameter: k must"),
+    (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "0"],
+     "invalid-parameter: k-max"),
+    (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "0", "--format", "json"],
+     "invalid-parameter: k-max"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

@@ -1,14 +1,19 @@
 import cmath
+import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logalg import (Add, BlaschkeFactor, Div, InvalidParameterError, Mul,
                     Polynomial, SafeRational, SingularInner, StructureError,
                     Sub, boundary_norm, class_norm, constant, d_N, evaluate,
                     phi_sample, radial_mean, smirnov_defect)
 from logalg import holo
-from logalg.errors import SingularityError
+from logalg.errors import LogAlgError, SingularityError
 from logalg.holo import from_json
 from logalg.selftest import nevanlinna_corpus
 
@@ -100,6 +105,75 @@ def test_json_round_trip():
         assert evaluate(g, z) == pytest.approx(evaluate(f, z))
 
 
+# log-modulus path: logmod(z) is exactly logpolar(z)[0], refusals included
+
+_parts = st.floats(-4, 4) | st.sampled_from([0.0, 1e-300, 1e308, -1e308])
+_polys = st.lists(st.builds(complex, _parts, _parts), max_size=4)
+# denominators: atoms without zeros in the disk, among them a constant whose
+# Horner step is inf / inf = NaN
+_zero_free_atoms = st.one_of(
+    st.builds(SingularInner.make, st.floats(0, 1e308) | st.sampled_from([0.0, 1.0, 1e308])),
+    st.sampled_from([constant(2j), constant(math.inf), Polynomial.make([2, 1]),
+                     SafeRational.make([1, 0.5], [1, -0.9])]),
+)
+_atoms = st.one_of(
+    _zero_free_atoms,
+    _polys.map(Polynomial.make),
+    st.sampled_from([Polynomial.make([]), constant(0), Polynomial.make([0, 0])]),
+    st.builds(SafeRational.make, _polys, st.sampled_from([[1, -0.9], [2, 1j], [3]])),
+    st.builds(lambda r, t: BlaschkeFactor.make(cmath.rect(r, t)),
+              st.floats(0, 0.999), st.floats(0, 2 * math.pi)),
+)
+
+
+def _zero_free(depth):
+    if depth == 0:
+        return _zero_free_atoms
+    sub = _zero_free(depth - 1)
+    return _zero_free_atoms | st.builds(Mul, sub, sub) | st.builds(Div, sub, sub)
+
+
+def _trees(depth):
+    if depth == 0:
+        return _atoms
+    sub = _trees(depth - 1)
+    return (_atoms | st.builds(holo.Binary, st.sampled_from(["add", "sub", "mul"]), sub, sub)
+            | st.builds(Div, sub, _zero_free(depth - 1)))
+
+
+_points = st.lists(
+    st.sampled_from([1, -1, 0, 1j, 1 - 1e-13, 1 - 2e-13, 1 - 1e-9 + 1e-9j])
+    | st.builds(cmath.rect, st.floats(0, 1), st.floats(-math.pi, math.pi)),
+    min_size=1, max_size=6).map(lambda ps: np.array(ps, dtype=complex))
+
+
+def _outcome(fn, z):
+    with np.errstate(all="ignore"):
+        try:
+            return fn(z)
+        except LogAlgError as exc:
+            return type(exc), str(exc), getattr(exc, "atom", None)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_trees(4), _points)
+def test_logmod_is_the_log_modulus_of_logpolar(f, z):
+    got, want = _outcome(f.logmod, z), _outcome(lambda z: f.logpolar(z)[0], z)
+    if isinstance(want, tuple):
+        assert isinstance(got, tuple) and got == want
+    else:
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_logmod_of_a_division_refuses_a_vanishing_denominator():
+    # inf / inf in the Horner step makes the denominator NaN, whose phase is 0
+    f = Div(constant(1), constant(math.inf))
+    for method in (f.logmod, f.logpolar):
+        with pytest.raises(SingularityError, match="denominator vanishes"):
+            with np.errstate(all="ignore"):
+                method(np.array([0.5j]))
+
+
 # ---------------------------------------------------------------- radial mean
 
 def test_radial_mean_constant():
@@ -172,6 +246,33 @@ def test_d_N_triangle_and_scaling(rng):
     diff = Sub(f, g)
     assert boundary_norm(Mul(constant(0.5), diff), m) <= \
         boundary_norm(diff, m) + 1e-9
+
+
+# exact outputs of the quadrature, recorded in quadrature_pins.json; any change
+# to its arithmetic fails here.  Re-record on purpose with
+#   PYTHONPATH=src python tests/test_holo.py > tests/quadrature_pins.json
+PINS = pathlib.Path(__file__).with_name("quadrature_pins.json")
+PINNED_TREES = (2, 8, 10)  # z, S_1 and 1/S_1 of the corpus
+PINNED_RADIAL = ((0.5, 64), (0.99, 4096), (1 - 2.0 ** -20, (1 << 19) + 64))
+PINNED_BOUNDARY = (64, 4096, (1 << 19) + 64)
+
+
+def quadrature_pins() -> dict:
+    corpus = nevanlinna_corpus()
+    sweeps = [class_norm(f, 1e-4) for f in corpus]
+    return {
+        "class_norm": [{"means": [repr(v) for v in res.means], "grids": list(res.grids),
+                        "points": res.points, "stop": res.stop,
+                        "estimate": repr(res.estimate)} for res in sweeps],
+        "radial_mean": {str(i): [repr(radial_mean(corpus[i], r, m)) for r, m in PINNED_RADIAL]
+                        for i in PINNED_TREES},
+        "boundary_norm": {str(i): [repr(boundary_norm(corpus[i], m)) for m in PINNED_BOUNDARY]
+                          for i in PINNED_TREES},
+    }
+
+
+def test_quadrature_outputs_are_pinned():
+    assert quadrature_pins() == json.loads(PINS.read_text())
 
 
 # ----------------------------------------------------------------- class norm
@@ -308,3 +409,7 @@ def test_phi_sample_overflow_refused():
 def test_quadrature_overflow_refused():
     with pytest.raises(InvalidParameterError, match="grid point index"):
         boundary_norm(inv_singular(1e308), 64)
+
+
+if __name__ == "__main__":
+    print(json.dumps(quadrature_pins(), indent=1))

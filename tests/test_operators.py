@@ -21,6 +21,14 @@ def diag(*vals):
     return MatrixOperator.make(np.diag(np.asarray(vals, dtype=complex)))
 
 
+def zero(n):
+    return MatrixOperator.make(np.zeros((n, n)))
+
+
+def identity(n):
+    return MatrixOperator.make(np.eye(n))
+
+
 def dtau_series(A, B, terms=60):
     """Independent partial-series evaluation of the measure-topology metric."""
     return sum(2.0 ** (-k) * measure_above(A - B, 1.0 / k)
@@ -84,11 +92,11 @@ def test_singular_numbers_nilpotent():
 # -------------------------------------------------------------------- lognorm
 
 def test_lognorm_op_zero():
-    assert lognorm_op(MatrixOperator.zero(3)) == 0.0
+    assert lognorm_op(zero(3)) == 0.0
 
 
 def test_lognorm_op_scalar_identity():
-    T = MatrixOperator.identity(4).scaled(math.e - 1)
+    T = identity(4).scaled(math.e - 1)
     assert lognorm_op(T) == pytest.approx(1.0, abs=1e-14)
 
 
@@ -101,7 +109,7 @@ def test_lognorm_op_positive_when_trace_underflows():
     # (1/3) log(1 + 5e-324) rounds to 0.0, yet T is not the zero matrix
     T = diag(5e-324, 0, 0)
     assert lognorm_op(T) > 0
-    assert dlog_op(T, MatrixOperator.zero(3)) > 0
+    assert dlog_op(T, zero(3)) > 0
 
 
 def test_lognorm_matches_singular_step_integral(rng):
@@ -114,15 +122,15 @@ def test_lognorm_matches_singular_step_integral(rng):
 def test_dlog_op_examples():
     T = diag(3, 1)
     assert dlog_op(T, T) == 0.0
-    assert dlog_op(T, MatrixOperator.zero(2)) == lognorm_op(T)
+    assert dlog_op(T, zero(2)) == lognorm_op(T)
     assert dlog_op(diag(1, 1), T) == pytest.approx(0.5 * math.log(3), abs=1e-14)
 
 
 def test_dimension_mismatch():
     with pytest.raises(DomainMismatchError):
-        dlog_op(MatrixOperator.zero(2), MatrixOperator.zero(3))
+        dlog_op(zero(2), zero(3))
     with pytest.raises(DomainMismatchError):
-        dtau(MatrixOperator.zero(2), MatrixOperator.zero(3))
+        dtau(zero(2), zero(3))
 
 
 # ----------------------------------------------------------------------- dtau
@@ -133,17 +141,17 @@ def test_dtau_identical():
 
 
 def test_dtau_unit_difference():
-    assert dtau(diag(1, 0), MatrixOperator.zero(2)) == pytest.approx(0.5)
+    assert dtau(diag(1, 0), zero(2)) == pytest.approx(0.5)
 
 
 def test_dtau_small_difference():
-    assert dtau(diag(0.4, 0.4), MatrixOperator.zero(2)) == pytest.approx(0.25)
+    assert dtau(diag(0.4, 0.4), zero(2)) == pytest.approx(0.25)
 
 
 def test_dtau_tiny_difference_underflows_to_zero():
     # 1/sigma overflows here; the term 2^(1-k0)/n is 0.0 for every sigma < 2^-11
-    assert dtau(diag(1e-310, 1e-310), MatrixOperator.zero(2)) == 0.0
-    assert dtau(diag(1e-5, 0.4), MatrixOperator.zero(2)) == pytest.approx(0.125)
+    assert dtau(diag(1e-310, 1e-310), zero(2)) == 0.0
+    assert dtau(diag(1e-5, 0.4), zero(2)) == pytest.approx(0.125)
 
 
 def test_dtau_matches_series(rng):
@@ -233,7 +241,7 @@ def test_split_invalid_cutoff():
 # ---------------------------------------------------------------- determinant
 
 def test_fk_determinant_identity():
-    assert fk_determinant(MatrixOperator.identity(5)) == 1.0
+    assert fk_determinant(identity(5)) == 1.0
 
 
 def test_fk_determinant_geometric_mean():
@@ -439,7 +447,7 @@ def test_an_overflowing_sigma_max_is_not_flushed():
     assert lognorm_op(T) == math.inf
     assert T.operator_norm() == math.inf
     assert measure_above(T, 1.0) == 0.5
-    assert dtau(T, MatrixOperator.zero(2)) == 0.5
+    assert dtau(T, zero(2)) == 0.5
     # sigma = sqrt(2) * 1e308 twice: finite, though sigma_max * n overflows
     T = mat([[1e308, 1e308], [1e308, -1e308]])
     assert list(T.singular_values) == pytest.approx([math.sqrt(2) * 1e308] * 2, rel=1e-12)
