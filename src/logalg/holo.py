@@ -1,10 +1,11 @@
 """Holomorphic functions on the unit disk, built from Nevanlinna-class atoms.
 
-Expression trees combine polynomials, disk-zero-free rationals, Blaschke
-factors and singular inner exponentials with Add/Sub/Mul/Div, all of them
-``Binary`` nodes.  Division is only allowed by products of singular inner
-and disk-zero-free atoms, which have no zeros in the disk, so every tree is
-a ratio of bounded analytic functions with a zero-free denominator.
+Expression trees combine polynomials, Blaschke factors and singular inner
+exponentials with Add/Sub/Mul/Div, all of them ``Binary`` nodes; a
+``SafeRational`` is the Div of two polynomials.  Division is only allowed by
+products of singular inner and disk-zero-free atoms, which have no zeros in
+the disk, so every tree is a ratio of bounded analytic functions with a
+zero-free denominator.
 
 Evaluation is carried in log-polar form (log-modulus, unit phase) so that
 integrands like log(1 + |f|) stay finite even when |f| overflows a double.
@@ -64,9 +65,12 @@ def _logpolar_of_values(v: np.ndarray):
 class Polynomial(HoloFunction):
     coeffs: tuple  # ascending order: coeffs[k] multiplies z^k
 
-    @staticmethod
-    def make(coeffs) -> "Polynomial":
-        return Polynomial(tuple(complex(c) for c in coeffs))
+    def __post_init__(self):
+        coeffs = tuple(complex(c) for c in self.coeffs)
+        # |c| as well as its parts: _scaled divides by the largest |c|
+        if not all(math.hypot(c.real, c.imag) < math.inf for c in coeffs):
+            raise InvalidParameterError("polynomial coefficients must be finite")
+        object.__setattr__(self, "coeffs", coeffs)
 
     def _scaled(self, z):
         # Horner on coeffs / max |coeff|, its log added back: no overflow for |z| <= 1
@@ -89,13 +93,20 @@ class Polynomial(HoloFunction):
         return logmag
 
     def disk_zero_free(self) -> bool:
+        """No zero in |z| <= 1 + 1e-12, decided on the roots 1/z_i of sum c_k w^(d-k).
+
+        If all |1/z_i| < 1, their elementary symmetric functions c_k / c_0 sum
+        in modulus to less than 2^d; a larger or overflowing sum (beyond 2^1023
+        at any degree) shows a zero in the disk, and np.roots sees no overflow.
+        """
         cs = np.trim_zeros(np.asarray(self.coeffs, dtype=complex), "b")
-        if cs.size == 0:
-            return False  # identically zero
-        if cs.size == 1:
-            return True
-        roots = np.roots(cs[::-1])
-        return bool(np.all(np.abs(roots) > 1.0 + 1e-12))
+        if cs.size == 0 or cs[0] == 0:
+            return False  # identically zero, or zero at the origin
+        with np.errstate(all="ignore"):
+            spread = np.abs(cs[1:] / cs[0]).sum()
+        if not spread < 2.0 ** min(cs.size - 1, 1023):
+            return False
+        return bool(np.all(np.abs(np.roots(cs)) * (1.0 + 1e-12) < 1.0))
 
     def to_json(self):
         return {"op": "poly",
@@ -103,37 +114,7 @@ class Polynomial(HoloFunction):
 
 
 def constant(c) -> Polynomial:
-    return Polynomial.make([c])
-
-
-@dataclass(frozen=True)
-class SafeRational(HoloFunction):
-    """numerator / denominator with the denominator zero-free on |z| <= 1."""
-
-    numerator: Polynomial
-    denominator: Polynomial
-
-    @staticmethod
-    def make(num_coeffs, den_coeffs) -> "SafeRational":
-        num = Polynomial.make(num_coeffs)
-        den = Polynomial.make(den_coeffs)
-        if not den.disk_zero_free():
-            raise StructureError(
-                "SafeRational denominator has a zero on the closed unit disk")
-        return SafeRational(num, den)
-
-    def logpolar(self, z):
-        ln, pn = self.numerator.logpolar(z)
-        ld, pd = self.denominator.logpolar(z)
-        return ln - ld, pn / pd
-
-    def logmod(self, z):
-        return self.numerator.logmod(z) - self.denominator.logmod(z)
-
-    def to_json(self):
-        return {"op": "rational",
-                "num": self.numerator.to_json()["coeffs"],
-                "den": self.denominator.to_json()["coeffs"]}
+    return Polynomial([c])
 
 
 @dataclass(frozen=True)
@@ -142,12 +123,11 @@ class BlaschkeFactor(HoloFunction):
 
     a: complex
 
-    @staticmethod
-    def make(a) -> "BlaschkeFactor":
-        a = complex(a)
-        if not abs(a) < 1:
+    def __post_init__(self):
+        a = complex(self.a)
+        if not math.hypot(a.real, a.imag) < 1:  # abs raises where |a| overflows
             raise InvalidParameterError("Blaschke parameter must satisfy |a| < 1")
-        return BlaschkeFactor(a)
+        object.__setattr__(self, "a", a)
 
     def _values(self, z):
         return (z - self.a) / (1.0 - np.conj(self.a) * z)
@@ -168,12 +148,11 @@ class SingularInner(HoloFunction):
 
     s: float
 
-    @staticmethod
-    def make(s) -> "SingularInner":
-        s = float(s)
-        if s < 0:
-            raise InvalidParameterError("singular inner weight must be nonnegative")
-        return SingularInner(s)
+    def __post_init__(self):
+        s = float(self.s)
+        if not 0 <= s < math.inf:
+            raise InvalidParameterError("singular inner weight must be finite and nonnegative")
+        object.__setattr__(self, "s", s)
 
     def _exponent(self, z):
         """-s (1 + z) / (1 - z), the log of the value; refused at z = 1."""
@@ -205,8 +184,6 @@ def _is_zero_free(node: HoloFunction) -> bool:
         return True
     if isinstance(node, Polynomial):
         return node.disk_zero_free()
-    if isinstance(node, SafeRational):
-        return node.numerator.disk_zero_free()
     if isinstance(node, Binary) and node.op in ("mul", "div"):
         # a div node's right side already passed this check
         return _is_zero_free(node.left) and (node.op == "div" or _is_zero_free(node.right))
@@ -275,21 +252,31 @@ Mul = partial(Binary, "mul")
 Div = partial(Binary, "div")
 
 
+class SafeRational(Binary):
+    """The div node of two polynomials, printed as "rational"."""
+
+    def __init__(self, num_coeffs, den_coeffs):
+        super().__init__("div", Polynomial(num_coeffs), Polynomial(den_coeffs))
+
+    def to_json(self):
+        return {"op": "rational",
+                "num": self.left.to_json()["coeffs"],
+                "den": self.right.to_json()["coeffs"]}
+
+
 def from_json(obj: dict) -> HoloFunction:
     """Rebuild an expression tree from its JSON form."""
+    number = lambda c: complex(c["re"], c.get("im", 0.0))  # noqa: E731
     try:
         op = obj["op"]
         if op == "poly":
-            return Polynomial.make([complex(c["re"], c.get("im", 0.0))
-                                    for c in obj["coeffs"]])
+            return Polynomial(map(number, obj["coeffs"]))
         if op == "rational":
-            return SafeRational.make(
-                [complex(c["re"], c.get("im", 0.0)) for c in obj["num"]],
-                [complex(c["re"], c.get("im", 0.0)) for c in obj["den"]])
+            return SafeRational(map(number, obj["num"]), map(number, obj["den"]))
         if op == "blaschke":
-            return BlaschkeFactor.make(complex(obj["a"]["re"], obj["a"].get("im", 0.0)))
+            return BlaschkeFactor(number(obj["a"]))
         if op == "singular":
-            return SingularInner.make(obj["s"])
+            return SingularInner(obj["s"])
         if op in _BINARY_OPS:
             return Binary(op, from_json(obj["lhs"]), from_json(obj["rhs"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

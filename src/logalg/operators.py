@@ -37,11 +37,11 @@ class MatrixOperator:
         return len(self.entries)
 
     @staticmethod
-    def make(entries) -> "MatrixOperator":
+    def make(entries) -> "MatrixOperator":  # the constructor, under the name bench/ wraps
         return MatrixOperator(entries)
 
     def adjoint(self) -> "MatrixOperator":
-        return MatrixOperator.make(self.entries.conj().T)
+        return MatrixOperator(self.entries.conj().T)
 
     def operator_norm(self) -> float:
         return float(self.singular_values[0])
@@ -60,18 +60,18 @@ class MatrixOperator:
 
     def __add__(self, other: "MatrixOperator") -> "MatrixOperator":
         _check_dims(self, other)
-        return MatrixOperator.make(self.entries + other.entries)
+        return _computed(np.add, self.entries, other.entries)
 
     def __sub__(self, other: "MatrixOperator") -> "MatrixOperator":
         _check_dims(self, other)
-        return MatrixOperator.make(self.entries - other.entries)
+        return _computed(np.subtract, self.entries, other.entries)
 
     def __matmul__(self, other: "MatrixOperator") -> "MatrixOperator":
         _check_dims(self, other)
-        return MatrixOperator.make(self.entries @ other.entries)
+        return _computed(np.matmul, self.entries, other.entries)
 
     def scaled(self, alpha: complex) -> "MatrixOperator":
-        return MatrixOperator.make(alpha * self.entries)
+        return _computed(np.multiply, alpha, self.entries)
 
     def to_json(self) -> dict:
         return {
@@ -90,7 +90,7 @@ class MatrixOperator:
             raise MalformedInputError(f"bad matrix JSON: {exc}") from exc
         if re.shape != (n, n) or im.shape != (n, n):
             raise MalformedInputError("matrix JSON arrays must be n x n")
-        return MatrixOperator.make(re + 1j * im)
+        return MatrixOperator(re + 1j * im)
 
 
 @dataclass(frozen=True)
@@ -104,6 +104,16 @@ class SpectralSplit:
     def to_json(self) -> dict:
         return {"cutoff": self.cutoff, "bounded_part": self.bounded_part.to_json(),
                 "tail_part": self.tail_part.to_json()}
+
+
+def _computed(ufunc, *operands) -> MatrixOperator:
+    """ufunc(*operands) of checked operands, where a non-finite entry is an overflow."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        entries = ufunc(*operands)
+    try:
+        return MatrixOperator(entries)
+    except MalformedInputError:
+        raise InvalidParameterError("value overflows a double") from None
 
 
 def _check_dims(a: MatrixOperator, b: MatrixOperator) -> None:
@@ -123,7 +133,7 @@ def _flushed(s: np.ndarray) -> np.ndarray:
 
 def singular_numbers(T: MatrixOperator) -> SingularStep:
     """Singular values as a step function on (0, 1]: each carries width 1/n."""
-    return SingularStep.make([(1.0 / T.n, float(s)) for s in T.singular_values])
+    return SingularStep([(1.0 / T.n, float(s)) for s in T.singular_values])
 
 
 def lognorm_op(T: MatrixOperator) -> float:
@@ -186,7 +196,7 @@ def spectral_project(T: MatrixOperator, a: float, b: float = math.inf) -> Matrix
     p = _right_singular_projector(T, lambda s: a <= s < b)
     p += p.conj().T  # exactly Hermitian: entry (j, i) is the conjugate of entry (i, j)
     p *= 0.5
-    return MatrixOperator.make(p)
+    return MatrixOperator(p)
 
 
 def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
@@ -195,8 +205,8 @@ def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
         raise InvalidParameterError("cutoff K must be positive")
     tail = T.entries @ _right_singular_projector(T, lambda s: s > K)
     return SpectralSplit(
-        bounded_part=MatrixOperator.make(T.entries - tail),
-        tail_part=MatrixOperator.make(tail),
+        bounded_part=MatrixOperator(T.entries - tail),
+        tail_part=MatrixOperator(tail),
         cutoff=float(K),
     )
 
@@ -228,4 +238,4 @@ def embed_diagonal(f: StepFunction, n: int) -> MatrixOperator:
     entries = np.zeros((n, n), dtype=complex)  # first: a too large n allocates nothing else
     i = np.arange(sum(counts))
     entries[i, i] = np.repeat([v for _, _, v in f.pieces], counts)
-    return MatrixOperator.make(entries)
+    return MatrixOperator(entries)

@@ -30,13 +30,13 @@ def random_step(rng: np.random.Generator, total_measure: float = 1.0,
             continue
         v = complex(rng.normal(0, max_scale), rng.normal(0, max_scale))
         pieces.append((l, r, v))
-    return stepfn.StepFunction.make(pieces, total_measure)
+    return stepfn.StepFunction(pieces, total_measure)
 
 
 def random_matrix(rng: np.random.Generator, n: int,
                   scale: float = 3.0) -> ops.MatrixOperator:
     a = rng.normal(0, scale, (n, n)) + 1j * rng.normal(0, scale, (n, n))
-    return ops.MatrixOperator.make(a)
+    return ops.MatrixOperator(a)
 
 
 def scale_to_lognorm(f: stepfn.StepFunction, target: float) -> float:
@@ -49,19 +49,19 @@ def nevanlinna_corpus():
 
     Every member lies in the Smirnov class N+ except the last, 1/S_1.
     """
-    z = holo.Polynomial.make([0, 1])
+    z = holo.Polynomial([0, 1])
     return [
         holo.constant(0),
         holo.constant(2 + 1j),
         z,
-        holo.Polynomial.make([1, 1, 0.5j]),
-        holo.SafeRational.make([1], [1, -0.9]),
-        holo.BlaschkeFactor.make(0.5),
-        holo.BlaschkeFactor.make(0.3 - 0.4j),
-        holo.Mul(holo.BlaschkeFactor.make(0.5), holo.BlaschkeFactor.make(-0.2j)),
-        holo.SingularInner.make(1.0),
-        holo.Mul(holo.BlaschkeFactor.make(0.5), holo.Polynomial.make([1, 1])),
-        holo.Div(holo.constant(1), holo.SingularInner.make(1.0)),
+        holo.Polynomial([1, 1, 0.5j]),
+        holo.SafeRational([1], [1, -0.9]),
+        holo.BlaschkeFactor(0.5),
+        holo.BlaschkeFactor(0.3 - 0.4j),
+        holo.Mul(holo.BlaschkeFactor(0.5), holo.BlaschkeFactor(-0.2j)),
+        holo.SingularInner(1.0),
+        holo.Mul(holo.BlaschkeFactor(0.5), holo.Polynomial([1, 1])),
+        holo.Div(holo.constant(1), holo.SingularInner(1.0)),
     ]
 
 
@@ -182,7 +182,7 @@ def _embedding(rng, sizes):
         k = int(rng.integers(0, n + 1))
         pieces = [(i / n, (i + 1) / n, complex(rng.normal(0, 5), rng.normal(0, 5)))
                   for i in range(k)]
-        f = stepfn.StepFunction.make(pieces, 1.0)
+        f = stepfn.StepFunction(pieces, 1.0)
         D = ops.embed_diagonal(f, n)
         nf = stepfn.lognorm(f)
         _require(abs(ops.lognorm_op(D) - nf) <= 1e-12, "lognorm_op(D) = lognorm(f)")
@@ -210,9 +210,9 @@ def _dtau(rng, sizes):
 
 
 def _inner_normalization(rng, sizes):
-    B = holo.BlaschkeFactor.make
+    B = holo.BlaschkeFactor
     inner = [B(0.5), B(0.3 - 0.4j), B(-0.85), holo.Mul(B(0.5), B(-0.2j)),
-             holo.Mul(holo.Mul(B(0.1), B(0.6j)), B(-0.4)), holo.SingularInner.make(1.0)]
+             holo.Mul(holo.Mul(B(0.1), B(0.6j)), B(-0.4)), holo.SingularInner(1.0)]
     for f in inner:
         _require(abs(holo.boundary_norm(f, 4096) - math.log(2)) <= 1e-6,
                  f"boundary norm of inner {f.to_json()} is log 2")
@@ -270,7 +270,7 @@ def _unboundedness(rng, sizes):
 
 
 def _convex_split(rng, sizes):
-    one = stepfn.StepFunction.make([(0, 1, 1.0)], 1.0)
+    one = stepfn.StepFunction([(0, 1, 1.0)], 1.0)
     split = witnesses.convex_split(one, 0.1)
     _require(split.n == 37, "n = 37 for f = 1, eps = 0.1")
     _require(split.verify(one), "equal piece norms averaging to f")
@@ -290,11 +290,11 @@ def _separation(rng, sizes):
 
 
 def _cauchy(rng, sizes):
-    base = stepfn.StepFunction.make([(0, 0.5, 2.0), (0.5, 1.0, 40.0)], 1.0)
+    base = stepfn.StepFunction([(0, 0.5, 2.0), (0.5, 1.0, 40.0)], 1.0)
     truncations = [stepfn.truncate(base, 2.0 ** k) for k in range(0, 9)]
     limit, report = witnesses.cauchy_limit(truncations, 1e-9)
     _require(report.is_cauchy and limit == base, "truncations converge to their base")
-    one = stepfn.StepFunction.make([(0, 1, 1.0)], 1.0)
+    one = stepfn.StepFunction([(0, 1, 1.0)], 1.0)
     alternating = [stepfn.StepFunction.zero(1.0), one] * 4
     _, report = witnesses.cauchy_limit(alternating, 1e-9)
     _require(not report.is_cauchy and abs(report.gap - math.log(2)) <= 1e-12

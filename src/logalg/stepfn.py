@@ -13,7 +13,7 @@ import math
 import operator
 import sys
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
 
@@ -28,15 +28,13 @@ class StepFunction:
     """
 
     pieces: tuple[tuple[float, float, complex], ...]
-    total_measure: float
+    total_measure: float = math.inf
 
-    @staticmethod
-    def make(pieces: Iterable[tuple[float, float, complex]],
-             total_measure: float = math.inf) -> "StepFunction":
-        """Validate, canonicalize and build a StepFunction."""
+    def __post_init__(self):
+        """Validate and canonicalize: sort, merge equal neighbours, drop zeros."""
         try:
-            total_measure = float(total_measure)
-            converted = [(float(l), float(r), complex(v)) for l, r, v in pieces]
+            total_measure = float(self.total_measure)
+            converted = [(float(l), float(r), complex(v)) for l, r, v in self.pieces]
         except (TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"step function data is not numeric: {exc}") from exc
         if not (total_measure > 0):
@@ -45,7 +43,7 @@ class StepFunction:
         for left, right, value in converted:
             if not (math.isfinite(left) and math.isfinite(right)):
                 raise MalformedInputError("piece endpoints must be finite")
-            if not (math.isfinite(value.real) and math.isfinite(value.imag)):
+            if not math.hypot(value.real, value.imag) < math.inf:  # abs raises on such |v|
                 raise MalformedInputError("piece values must be finite")
             if left < 0 or left >= right:
                 raise MalformedInputError(
@@ -65,11 +63,16 @@ class StepFunction:
                 merged[-1][1] = right
             else:
                 merged.append([left, right, value])
-        return StepFunction(tuple((l, r, v) for l, r, v in merged), total_measure)
+        object.__setattr__(self, "pieces", tuple((l, r, v) for l, r, v in merged))
+        object.__setattr__(self, "total_measure", total_measure)
+
+    @staticmethod
+    def make(pieces, total_measure=math.inf) -> "StepFunction":  # as MatrixOperator.make
+        return StepFunction(pieces, total_measure)
 
     @staticmethod
     def zero(total_measure: float = math.inf) -> "StepFunction":
-        return StepFunction((), float(total_measure))
+        return StepFunction((), total_measure)
 
     def is_zero(self) -> bool:
         return not self.pieces
@@ -85,13 +88,12 @@ class StepFunction:
     @staticmethod
     def from_json(obj: dict) -> "StepFunction":
         try:
-            tm = obj["total_measure"]
-            tm = math.inf if tm == "inf" else float(tm)
+            tm = obj["total_measure"]  # "inf" too: the constructor takes float(tm)
             pieces = [(p["l"], p["r"], complex(p["re"], p.get("im", 0.0)))
                       for p in obj["pieces"]]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad StepFunction JSON: {exc}") from exc
-        return StepFunction.make(pieces, tm)
+        return StepFunction(pieces, tm)
 
 
 @dataclass(frozen=True)
@@ -104,16 +106,15 @@ class SingularStep:
 
     steps: tuple[tuple[float, float], ...]
 
-    @staticmethod
-    def make(steps: Iterable[tuple[float, float]]) -> "SingularStep":
+    def __post_init__(self):
         merged: list[list] = []
         prev_h = math.inf
-        for width, height in steps:
+        for width, height in self.steps:
             width = float(width)
             height = float(height)
-            if width <= 0:
+            if not width > 0:
                 raise MalformedInputError("step widths must be positive")
-            if height < 0:
+            if not height >= 0:
                 raise MalformedInputError("step heights must be nonnegative")
             if height > prev_h:
                 raise MalformedInputError("step heights must be nonincreasing")
@@ -122,7 +123,7 @@ class SingularStep:
             else:
                 merged.append([width, height])
             prev_h = height
-        return SingularStep(tuple((w, h) for w, h in merged))
+        object.__setattr__(self, "steps", tuple((w, h) for w, h in merged))
 
     def stripped(self) -> tuple[tuple[float, float], ...]:
         """Steps with zero heights removed (the support part)."""
@@ -190,14 +191,14 @@ def _refine(fns: Sequence[StepFunction]):
 
 
 def _computed(pieces: list, total_measure: float) -> StepFunction:
-    """StepFunction.make for values computed from canonical operands.
+    """StepFunction of values computed from canonical operands.
 
-    Such pieces fail make's checks only by a value that is infinite or NaN,
+    Such pieces fail its checks only by a value that is infinite or NaN,
     which is arithmetic that overflowed a double: an operand out of range,
     not malformed input.
     """
     try:
-        return StepFunction.make(pieces, total_measure)
+        return StepFunction(pieces, total_measure)
     except MalformedInputError:
         raise InvalidParameterError("value overflows a double") from None
 
@@ -256,7 +257,7 @@ def restrict(f: StepFunction, a: float, b: float) -> StepFunction:
         lo, hi = max(l, a), min(r, b)
         if lo < hi:
             pieces.append((lo, hi, v))
-    return StepFunction.make(pieces, f.total_measure)
+    return StepFunction(pieces, f.total_measure)
 
 
 def _bisect(below) -> float:
@@ -296,8 +297,8 @@ def truncate(f: StepFunction, M: float) -> StepFunction:
     """Keep f where |f| <= M (ties kept), zero elsewhere."""
     if not M > 0:
         raise InvalidParameterError("truncation level M must be positive")
-    return StepFunction.make([(l, r, v) for l, r, v in f.pieces if abs(v) <= M],
-                             f.total_measure)
+    return StepFunction([(l, r, v) for l, r, v in f.pieces if abs(v) <= M],
+                        f.total_measure)
 
 
 def approximate_in_l1(f: StepFunction, eps: float) -> StepFunction:
@@ -316,4 +317,4 @@ def decreasing_rearrangement(f: StepFunction) -> SingularStep:
     """Widths and moduli of the pieces of f, sorted by modulus, largest first."""
     parts = sorted(((r - l, abs(v)) for l, r, v in f.pieces),
                    key=lambda wh: -wh[1])
-    return SingularStep.make(parts)
+    return SingularStep(parts)

@@ -27,7 +27,7 @@ class UnboundednessWitness:
     norm_f_over_N: float
 
     def verify(self) -> bool:
-        f = StepFunction.make([(0.0, self.eta, self.K)])
+        f = StepFunction([(0.0, self.eta, self.K)])
         ok_small = lognorm(f) < self.eps
         ok_large = lognorm(scale(f, 1.0 / self.N)) >= self.eps / 2
         return ok_small and ok_large
@@ -75,9 +75,9 @@ class ConvexSplit:
     pieces: tuple  # of StepFunction
 
     def average(self) -> StepFunction:
-        """The mean of the pieces: their supports are disjoint, so one make joins them."""
-        joined = StepFunction.make([q for p in self.pieces for q in p.pieces],
-                                   self.pieces[0].total_measure)
+        """The mean of the pieces: their supports are disjoint, so one constructor joins them."""
+        joined = StepFunction([q for p in self.pieces for q in p.pieces],
+                              self.pieces[0].total_measure)
         return scale(joined, 1.0 / self.n)
 
     def verify(self, f: StepFunction) -> bool:
@@ -155,8 +155,8 @@ class SeparationSequence:
     def realize(self) -> StepFunction:
         # only valid when exp(k^2) fits in a double; the norms themselves
         # are always computed in the stable form k + log1p(exp(-k^2))/k
-        return StepFunction.make([(0.0, 1.0 / self.k, math.exp(self.k ** 2))],
-                                 total_measure=1.0)
+        return StepFunction([(0.0, 1.0 / self.k, math.exp(self.k ** 2))],
+                            total_measure=1.0)
 
     def to_json(self) -> dict:
         return {"k": self.k, "support_measure": self.support_measure,

@@ -155,6 +155,8 @@ TAIL = json.dumps([json.loads(step_json((0, 1e-300, v), total=1))
     ["dist", "--input", HUGE, "--other", step_json((0, 0.5, -1e308), total=1)],
     ["witness", "nonconvex", "--input", HUGE],
     ["cauchy", "--input", TAIL],
+    ["op-dist", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
+    ["dtau", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
 ])
 def test_overflowing_result_is_an_invalid_parameter(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -229,6 +231,14 @@ def test_nev_eval_overflow_refused(capsys):
     assert out == ""
     assert err.startswith("error: invalid-parameter")
     assert all(line.startswith("error: ") for line in err.splitlines())
+
+
+def test_nev_eval_divides_by_a_polynomial_whose_zero_overflows(capsys):
+    tree = json.dumps({"op": "div", "lhs": {"op": "poly", "coeffs": [{"re": 1}]},
+                       "rhs": {"op": "poly", "coeffs": [{"re": 1e308}, {"re": 1e-300}]}})
+    code, out, err = run(capsys, "nev-eval", "--input", tree)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["value"]["re"] == pytest.approx(1e-308, rel=1e-12)
 
 
 def test_cauchy_not_cauchy_emits_strict_json(capsys):
@@ -355,6 +365,14 @@ BIG = "1" + "0" * 400  # an integer literal no double can hold
      "invalid-parameter: k-max"),
     (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "0", "--format", "json"],
      "invalid-parameter: k-max"),
+    (["nev-eval", "--input", '{"op": "singular", "s": NaN}'],
+     "invalid-parameter: singular inner weight must be finite"),
+    (["nev-eval", "--input", '{"op": "poly", "coeffs": [{"re": 1e999}]}'],
+     "invalid-parameter: polynomial coefficients must be finite"),
+    (["nev-eval", "--input", '{"op": "poly", "coeffs": [{"re": 1.7e308, "im": 1.7e308}]}'],
+     "invalid-parameter: polynomial coefficients must be finite"),
+    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": 1.7e308, '
+                         '"im": 1.7e308}]}'], "malformed-input: piece values must be finite"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

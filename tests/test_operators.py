@@ -73,7 +73,7 @@ def test_operators_compare_and_hash_by_identity():
 # ----------------------------------------------------------- singular numbers
 
 def test_singular_numbers_diagonal():
-    assert singular_numbers(diag(3, 1)) == SingularStep.make([(0.5, 3), (0.5, 1)])
+    assert singular_numbers(diag(3, 1)) == SingularStep([(0.5, 3), (0.5, 1)])
 
 
 def test_singular_numbers_unitary():

@@ -12,6 +12,7 @@ import sys
 import pytest
 
 import logalg
+from logalg import InvalidParameterError, MalformedInputError, StructureError
 from test_cli import GOLDEN
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
@@ -33,6 +34,27 @@ EXPORTS = [
     "smirnov_defect", "spectral_project", "split_at", "stepfn", "truncate",
     "unboundedness_witness", "witnesses",
 ]
+# constructor calls of the value types on invalid data, and the error each raises
+REFUSED = {
+    "step beyond its measure": (lambda: logalg.StepFunction(((0.0, 2.0, 1), (1.0, 3.0, 1)), 1.0),
+                                MalformedInputError),
+    "step of negative measure": (lambda: logalg.StepFunction.zero(-1.0), MalformedInputError),
+    "increasing heights": (lambda: logalg.SingularStep(((1.0, 1.0), (1.0, 5.0))),
+                           MalformedInputError),
+    "nan height": (lambda: logalg.SingularStep(((1.0, float("nan")),)), MalformedInputError),
+    "blaschke outside the disk": (lambda: logalg.BlaschkeFactor(2.0), InvalidParameterError),
+    "negative singular weight": (lambda: logalg.SingularInner(-1.0), InvalidParameterError),
+    "nan singular weight": (lambda: logalg.SingularInner(float("nan")), InvalidParameterError),
+    "inf singular weight": (lambda: logalg.SingularInner(float("inf")), InvalidParameterError),
+    "inf coefficient": (lambda: logalg.Polynomial([float("inf")]), InvalidParameterError),
+    "coefficient of infinite modulus": (lambda: logalg.Polynomial([1.7e308 + 1.7e308j]),
+                                        InvalidParameterError),
+    "blaschke of infinite modulus": (lambda: logalg.BlaschkeFactor(1.7e308 + 1.7e308j),
+                                     InvalidParameterError),
+    "step of infinite modulus": (lambda: logalg.StepFunction([(0, 1, 1.7e308 + 1.7e308j)], 1),
+                                 MalformedInputError),
+    "rational with a pole at 1": (lambda: logalg.SafeRational([1], [1, -1]), StructureError),
+}
 # main(), then whether numpy was loaded, on stderr
 VIA_MAIN = """
 import sys
@@ -114,3 +136,18 @@ def test_an_unknown_name_is_an_attribute_error():
         logalg.no_such_name
     with pytest.raises(ImportError):
         from logalg import no_such_name  # noqa: F401
+
+
+@pytest.mark.parametrize("build, error", REFUSED.values(), ids=REFUSED.keys())
+def test_each_constructor_refuses_invalid_data(build, error):
+    with pytest.raises(error):
+        build()
+
+
+def test_the_only_make_methods_are_aliases_of_two_constructors():
+    types = [getattr(logalg, name) for name in EXPORTS]
+    assert [t.__name__ for t in types if isinstance(t, type) and "make" in vars(t)] == [
+        "MatrixOperator", "StepFunction"]
+    pieces = [(0.5, 1.0, 2.0), (0.0, 0.5, 2.0)]
+    assert logalg.StepFunction.make(pieces, 1.0) == logalg.StepFunction(pieces, 1.0)
+    assert logalg.MatrixOperator.make([[1.0]]).entries.tolist() == [[1.0]]

@@ -227,7 +227,7 @@ def test_approximate_in_l1_drops_tall_piece():
 
 def test_rearrangement_sorts_by_modulus():
     f = sf((0, 1, 1), (1, 2, 5))
-    assert decreasing_rearrangement(f) == SingularStep.make([(1, 5), (1, 1)])
+    assert decreasing_rearrangement(f) == SingularStep([(1, 5), (1, 1)])
 
 
 def test_rearrangement_zero():
@@ -236,7 +236,7 @@ def test_rearrangement_zero():
 
 def test_rearrangement_takes_modulus():
     assert decreasing_rearrangement(sf((0, 0.5, -3))) == \
-        SingularStep.make([(0.5, 3)])
+        SingularStep([(0.5, 3)])
 
 
 # ---------------------------------------------------------------- properties
