@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidParameterError
-from .stepfn import StepFunction, _computed, _refine, dlog, lognorm, restrict, scale
+from .stepfn import StepFunction, _computed, _log_sum, _refine, dlog, lognorm, restrict, scale
 
 _MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
 
@@ -105,8 +105,11 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
     if any(r > 1 for _, r, _ in f.pieces):
         raise InvalidParameterError("convex_split requires support in [0, 1)")
 
+    parts = [(r - l, v) for l, r, v in f.pieces]
+
     def too_coarse(n: int) -> bool:
-        return lognorm(scale(f, n)) / n >= eps
+        # lognorm(scale(f, n)) / n >= eps, without building n f: n * v is scale's product
+        return _log_sum(w * math.log1p(abs(n * v)) for w, v in parts) / n >= eps
 
     # lognorm(n f) / n decreases in n, as log(1 + t) / t does: double hi
     # until it passes, then bisect (lo, hi] down to the first n that passes
@@ -136,6 +139,8 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
             j += 1
         cum += gain
     breakpoints.append(1.0)
+    if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
+        raise InvalidParameterError(f"eps = {eps!r} needs slices narrower than a double resolves")
 
     pieces = tuple(restrict(nf, a, b) if not nf.is_zero() else nf
                    for a, b in zip(breakpoints, breakpoints[1:]))

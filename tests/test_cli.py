@@ -149,6 +149,9 @@ HUGE = step_json((0, 0.5, 1e308), total=1)
 # a geometric tail with ratio 1 - 2^-40, whose extrapolated limit overflows
 TAIL = json.dumps([json.loads(step_json((0, 1e-300, v), total=1))
                    for v in (1e297, 2e297, 2e297 + 1e297 * (1 - 2.0 ** -40))])
+# finite parts whose difference 1.5e308 + 1.5e308i has a modulus beyond the doubles
+COMPLEX_HUGE, COMPLEX_NEG = (json.dumps({"total_measure": 1, "pieces": [{"l": 0, "r": 0.5, "re": x, "im": x}]})
+                             for x in (1e308, -5e307))
 
 
 @pytest.mark.parametrize("argv", [
@@ -157,6 +160,7 @@ TAIL = json.dumps([json.loads(step_json((0, 1e-300, v), total=1))
     ["cauchy", "--input", TAIL],
     ["op-dist", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
     ["dtau", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
+    ["dist", "--input", COMPLEX_HUGE, "--other", COMPLEX_NEG],
 ])
 def test_overflowing_result_is_an_invalid_parameter(capsys, argv):
     code, out, err = run(capsys, *argv)

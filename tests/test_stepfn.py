@@ -2,14 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError,
                     MalformedInputError, SingularStep, StepFunction,
                     approximate_in_l1, cauchy_limit, decreasing_rearrangement,
-                    dlog, l1norm, lognorm, orlicz_fnorm, pointwise, scale,
-                    stepfn, truncate, witnesses)
+                    dlog, l1norm, lognorm, orlicz_fnorm, pointwise, restrict,
+                    scale, stepfn, truncate, witnesses)
 
 E = math.e
 
@@ -359,12 +359,12 @@ def _refine_by_scan(fns):
 
 
 @st.composite
-def grid_step_functions(draw):
-    """Pieces on the eighths of [0, 1): they touch, share endpoints, or vanish."""
+def grid_step_functions(draw, cells=8, values=(0, 1, -1, 2j, 0.5)):
+    """Pieces on a grid of [0, 1), eighths by default: they touch, share endpoints, or vanish."""
     n = draw(st.integers(0, 4))
-    endpoints = sorted(draw(st.lists(st.integers(0, 8), min_size=2 * n, max_size=2 * n)))
-    values = st.sampled_from([0, 1, -1, 2j, 0.5])
-    return StepFunction.make([(endpoints[2 * i] / 8, endpoints[2 * i + 1] / 8, draw(values))
+    endpoints = sorted(draw(st.lists(st.integers(0, cells), min_size=2 * n, max_size=2 * n)))
+    values = st.sampled_from(values)
+    return StepFunction.make([(endpoints[2 * i] / cells, endpoints[2 * i + 1] / cells, draw(values))
                               for i in range(n) if endpoints[2 * i] < endpoints[2 * i + 1]],
                              1.0)
 
@@ -394,3 +394,76 @@ def test_refinement_callers_match_the_scan(monkeypatch):
     monkeypatch.setattr(stepfn, "_refine", _refine_by_scan)
     monkeypatch.setattr(witnesses, "_refine", _refine_by_scan)
     assert walked == outputs()
+
+
+# ------------------------------------------------------------ kernel references
+
+# Neighbouring differences of two such functions often coincide, so f - g
+# merges intervals that the fused dlog sums one by one; tenths are not
+# dyadic, so the merged widths round differently from their parts.
+FEW_VALUED = grid_step_functions(cells=10, values=(0, 1, -1, 2j, 0.5, 1.5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(FEW_VALUED | grid_step_functions(), FEW_VALUED | grid_step_functions())
+# f - g = 1 on [0, 0.1) and [0.1, 0.3): 0.3 log 2 against 0.1 log 2 + (0.3 - 0.1) log 2
+@example(sf((0, 0.1, 1), (0.1, 0.3, 2), total=1.0), sf((0.1, 0.3, 1), total=1.0))
+def test_fused_dlog_matches_the_built_difference(f, g):
+    d = dlog(f, g)
+    assert math.isclose(d, lognorm(pointwise(f, g, "sub")), rel_tol=1e-12, abs_tol=0.0)
+    if f == g:
+        assert d == 0 and type(d) is int   # as lognorm of the zero function
+    else:
+        assert d > 0
+    # an exact limit is at distance exactly 0
+    _, report = cauchy_limit([g, f, f], 1.0)
+    assert report.limit_distance == 0 and type(report.limit_distance) is int
+
+
+def _restrict_by_clip(f, a, b):
+    """The linear restrict: every piece clipped, the result built by the constructor."""
+    clipped = [(max(l, a), min(r, b), v) for l, r, v in f.pieces]
+    return StepFunction.make([(lo, hi, v) for lo, hi, v in clipped if lo < hi], f.total_measure)
+
+
+@settings(max_examples=200, deadline=None)
+@given(step_functions() | grid_step_functions(), st.data())
+def test_restrict_matches_the_linear_clip(f, data):
+    ends = [x for l, r, _ in f.pieces for x in (l, r)] + [0.0, 1.0]
+    point = st.sampled_from(ends) | st.floats(-0.5, 1.5, allow_nan=False)
+    a, b = sorted((data.draw(point), data.draw(point)))
+    if a == b:
+        with pytest.raises(InvalidParameterError):
+            restrict(f, a, b)
+        return
+    assert repr(restrict(f, a, b)) == repr(_restrict_by_clip(f, a, b))
+
+
+def test_restrict_refuses_nan_bounds():
+    with pytest.raises(InvalidParameterError):
+        restrict(sf((0, 1, 1), total=1.0), math.nan, 0.5)
+
+
+HUGE = grid_step_functions(values=(0, 1, -1, 2j, 1e308, -1e308, 1e308j, 6e307 + 6e307j))
+
+
+@settings(max_examples=200, deadline=None)
+@given(HUGE, HUGE, st.sampled_from(["add", "sub", "mul"]))
+def test_computed_matches_the_constructor(f, g, op):
+    # the pieces pointwise hands over: sorted, disjoint, with zeros, equal
+    # neighbours and values that overflow a double
+    combine = stepfn._COMBINE[op]
+    pieces = [(l, r, combine(fv, gv)) for l, r, (fv, gv) in stepfn._refine((f, g))]
+    try:
+        want = StepFunction(pieces, 1.0)
+    except MalformedInputError:
+        with pytest.raises(InvalidParameterError, match="overflows a double"):
+            stepfn._computed(pieces, 1.0)
+    else:
+        assert repr(stepfn._computed(pieces, 1.0)) == repr(want)
+
+
+def test_scale_by_a_numpy_scalar_keeps_python_complex_values():
+    f = scale(sf((0, 0.5, 1 + 2j), total=1.0), np.complex128(0.5 - 1j))
+    assert type(f.pieces[0][2]) is complex
+    assert f == sf((0, 0.5, complex(np.complex128(0.5 - 1j) * (1 + 2j))), total=1.0)

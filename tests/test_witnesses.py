@@ -1,11 +1,14 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError, StepFunction,
                     cauchy_limit, convex_split, dlog, lognorm, pointwise, scale,
                     separation_sequence, truncate, unboundedness_witness)
 from conftest import make_random_step
+from test_stepfn import _restrict_by_clip, grid_step_functions, step_functions
 
 ONE = StepFunction.make([(0, 1, 1.0)], 1.0)
 
@@ -127,6 +130,37 @@ def test_convex_split_refuses_slices_beyond_the_doubles():
     # n f for n = 2 already overflows a double
     with pytest.raises(InvalidParameterError, match="overflows a double"):
         convex_split(StepFunction.make([(0, 0.5, 1e308)], 1.0), 0.1)
+
+
+def test_convex_split_refuses_a_modulus_beyond_the_doubles():
+    # 2 f has finite parts, but abs() of them raises OverflowError
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        convex_split(StepFunction.make([(0, 0.5, 6e307 + 6e307j)], 1.0), 0.1)
+
+
+def test_convex_split_refuses_slices_narrower_than_a_double():
+    # the slices of a piece 1e-15 wide at 0.5 are narrower than the spacing
+    # of the doubles there, so neighbouring breakpoints coincide
+    f = StepFunction.make([(0.5, 0.5 + 1e-15, 1e300)], 1.0)
+    with pytest.raises(InvalidParameterError,
+                       match=r"eps = 1e-14 needs slices narrower than a double resolves"):
+        convex_split(f, 1e-14)
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions() | grid_step_functions(), st.sampled_from([0.5, 0.1, 0.03]))
+def test_convex_split_matches_the_references(f, eps):
+    split = convex_split(f, eps)
+    n = split.n
+
+    def ratio(m):
+        return lognorm(scale(f, m)) / m
+
+    assert ratio(n) < eps and (n == 1 or ratio(n - 1) >= eps)
+    nf = scale(f, n)
+    want = tuple(_restrict_by_clip(nf, a, b) if not nf.is_zero() else nf
+                 for a, b in zip(split.breakpoints, split.breakpoints[1:]))
+    assert repr(split.pieces) == repr(want)
 
 
 def test_convex_split_verify():
