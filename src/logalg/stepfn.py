@@ -156,7 +156,7 @@ class SingularStep:
 
     def log_integral(self) -> float:
         """Integral of log(1 + height) against width."""
-        return sum(w * math.log1p(h) for w, h in self.steps)
+        return _integral((w * math.log1p(h) for w, h in self.steps), self.stripped())
 
     def to_json(self) -> dict:
         return {"steps": [{"w": w, "h": h} for w, h in self.steps]}
@@ -212,14 +212,21 @@ def _computed(pieces: list, total_measure: float) -> StepFunction:
     return fn
 
 
-def _log_sum(terms) -> float:
-    """sum(terms) of log1p(abs(v)) terms; a v or |v| (abs() raises) that overflowed is refused."""
+def _integral(terms, nonzero) -> float:
+    """sum(terms): the one sum behind every step-function integral.
+
+    A sum that overflows a double, or a modulus that does (abs() raises), is
+    refused.  A nonzero integrand whose sum underflows gets the smallest
+    positive double, so that an integral is 0 only for 0; no terms give the
+    int 0, as sum() does.
+    """
     try:
-        if (total := sum(terms)) < math.inf:
-            return total
+        total = sum(terms)
     except OverflowError:
-        pass
-    raise InvalidParameterError("value overflows a double")
+        total = math.inf
+    if not total < math.inf:
+        raise InvalidParameterError("value overflows a double")
+    return math.ulp(0.0) if total == 0.0 and nonzero else total
 
 
 def _check_same_space(f: StepFunction, g: StepFunction) -> None:
@@ -232,17 +239,12 @@ def _check_same_space(f: StepFunction, g: StepFunction) -> None:
 # core functionals
 
 def lognorm(f: StepFunction) -> float:
-    """F-norm: integral of log(1 + |f|).
-
-    A nonzero f whose integral underflows gets the smallest positive
-    double, so that lognorm(f) = 0 only for f = 0.
-    """
-    total = sum((r - l) * math.log1p(abs(v)) for l, r, v in f.pieces)
-    return math.ulp(0.0) if total == 0.0 and f.pieces else total
+    """F-norm: integral of log(1 + |f|); 0 only for f = 0."""
+    return _integral(((r - l) * math.log1p(abs(v)) for l, r, v in f.pieces), f.pieces)
 
 
 def l1norm(f: StepFunction) -> float:
-    return sum((r - l) * abs(v) for l, r, v in f.pieces)
+    return _integral(((r - l) * abs(v) for l, r, v in f.pieces), f.pieces)
 
 
 _LEFT, _RIGHT = operator.itemgetter(0), operator.itemgetter(1)
@@ -266,9 +268,8 @@ def dlog(f: StepFunction, g: StepFunction) -> float:
     lognorm(pointwise(f, g, "sub")) by rounding, within 1e-12 relative; dlog(f, f) is 0.
     """
     _check_same_space(f, g)
-    total = _log_sum((r - l) * math.log1p(abs(fv - gv))
-                     for l, r, (fv, gv) in _refine((f, g)) if fv != gv)
-    return math.ulp(0.0) if total == 0.0 and f.pieces != g.pieces else total
+    return _integral(((r - l) * math.log1p(abs(fv - gv))
+                      for l, r, (fv, gv) in _refine((f, g)) if fv != gv), f.pieces != g.pieces)
 
 
 def scale(f: StepFunction, alpha: complex) -> StepFunction:

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainMismatchError, InvalidParameterError
-from .stepfn import StepFunction, _computed, _log_sum, _refine, dlog, lognorm, restrict, scale
+from .stepfn import StepFunction, _computed, _integral, _refine, dlog, lognorm, restrict, scale
 
 _MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
 
@@ -74,17 +74,13 @@ class ConvexSplit:
     breakpoints: tuple
     pieces: tuple  # of StepFunction
 
-    def average(self) -> StepFunction:
-        """The mean of the pieces: their supports are disjoint, so one constructor joins them."""
-        joined = StepFunction([q for p in self.pieces for q in p.pieces],
-                              self.pieces[0].total_measure)
-        return scale(joined, 1.0 / self.n)
-
     def verify(self, f: StepFunction) -> bool:
-        """Re-check against f: every piece has norm lognorm(n f)/n and they average to f."""
-        target = lognorm(scale(f, self.n)) / self.n
-        return all(abs(lognorm(p) - target) < 1e-12 for p in self.pieces) \
-            and dlog(self.average(), f) < 1e-12
+        """Re-check against f: the pieces join to n f, and each has norm lognorm(n f)/n."""
+        nf = scale(f, self.n)
+        # _computed trusts their order: pieces out of order join to something other than n f
+        joined = _computed([q for p in self.pieces for q in p.pieces], self.pieces[0].total_measure)
+        target = lognorm(nf) / self.n
+        return joined == nf and all(abs(lognorm(p) - target) < 1e-12 for p in self.pieces)
 
     def to_json(self) -> dict:
         return {"n": self.n, "breakpoints": list(self.breakpoints),
@@ -109,7 +105,7 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
 
     def too_coarse(n: int) -> bool:
         # lognorm(scale(f, n)) / n >= eps, without building n f: n * v is scale's product
-        return _log_sum(w * math.log1p(abs(n * v)) for w, v in parts) / n >= eps
+        return _integral((w * math.log1p(abs(n * v)) for w, v in parts), parts) / n >= eps
 
     # lognorm(n f) / n decreases in n, as log(1 + t) / t does: double hi
     # until it passes, then bisect (lo, hi] down to the first n that passes

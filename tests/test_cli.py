@@ -161,6 +161,8 @@ COMPLEX_HUGE, COMPLEX_NEG = (json.dumps({"total_measure": 1, "pieces": [{"l": 0,
     ["op-dist", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
     ["dtau", "--input", '{"n": 1, "re": [[1e308]]}', "--other", '{"n": 1, "re": [[-1e308]]}'],
     ["dist", "--input", COMPLEX_HUGE, "--other", COMPLEX_NEG],
+    # finite values whose integral over [0, 1.7e308) overflows
+    ["norm", "--input", step_json((0, 1.7e308, 1e308))],
 ])
 def test_overflowing_result_is_an_invalid_parameter(capsys, argv):
     code, out, err = run(capsys, *argv)

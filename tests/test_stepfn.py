@@ -79,6 +79,8 @@ def test_lognorm_positive_when_integral_underflows():
     f = sf((0, 5e-324, 0.5), total=1.0)
     assert lognorm(f) > 0
     assert dlog(f, StepFunction.zero(1.0)) > 0
+    assert l1norm(f) > 0
+    assert decreasing_rearrangement(f).log_integral() > 0
 
 
 def test_dlog_examples():
@@ -126,6 +128,16 @@ def test_pointwise_overflow_is_an_invalid_parameter(f, g, op):
 def test_scale_overflow_is_an_invalid_parameter():
     with pytest.raises(InvalidParameterError, match="overflows a double"):
         scale(sf((0, 0.5, 1e308), total=1.0), 2)
+
+
+@pytest.mark.parametrize("integral", [
+    lognorm, l1norm, lambda f: decreasing_rearrangement(f).log_integral(),
+    lambda f: dlog(f, StepFunction.zero()),
+], ids=["lognorm", "l1norm", "rearrangement", "dlog"])
+def test_integral_overflow_is_an_invalid_parameter(integral):
+    # every value is finite; only the integral over 1.7e308 leaves the doubles
+    with pytest.raises(InvalidParameterError, match="overflows a double"):
+        integral(sf((0, 1.7e308, 1e308)))
 
 
 # --------------------------------------------------------------------- orlicz
@@ -284,6 +296,10 @@ def test_multiplication_bounds(f, g, K):
 @given(step_functions())
 def test_lognorm_below_l1norm(f):
     assert lognorm(f) <= l1norm(f) + 1e-12
+    # where the plain sum neither overflows nor underflows, lognorm is that sum, bit for bit
+    plain = sum((r - l) * math.log1p(abs(v)) for l, r, v in f.pieces)
+    if 0 < plain < math.inf:
+        assert lognorm(f).hex() == plain.hex()
 
 
 @settings(max_examples=100, deadline=None)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -5,8 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError, StepFunction,
-                    cauchy_limit, convex_split, dlog, lognorm, pointwise, scale,
-                    separation_sequence, truncate, unboundedness_witness)
+                    cauchy_limit, convex_split, dlog, lognorm, pointwise, restrict,
+                    scale, separation_sequence, truncate, unboundedness_witness)
 from conftest import make_random_step
 from test_stepfn import _restrict_by_clip, grid_step_functions, step_functions
 
@@ -52,7 +53,7 @@ def test_unboundedness_invalid_parameters():
 def test_convex_split_zero_function():
     split = convex_split(StepFunction.zero(1.0), 0.5)
     assert split.n == 1
-    assert split.average().is_zero()
+    assert folded_average(split).is_zero()
 
 
 def test_convex_split_single_piece_when_eps_large():
@@ -68,7 +69,7 @@ def test_convex_split_constant_one_eps_tenth():
     for j, x in enumerate(split.breakpoints):
         assert x == pytest.approx(j / 37, abs=1e-12)
     assert all(lognorm(p) < 0.1 for p in split.pieces)
-    assert dlog(split.average(), ONE) == 0.0
+    assert dlog(folded_average(split), ONE) == 0.0
 
 
 def test_convex_split_minimality():
@@ -86,7 +87,7 @@ def test_convex_split_piece_norms_balanced():
     assert sum(lognorm(p) for p in split.pieces) == pytest.approx(total, abs=1e-12)
     for p in split.pieces:
         assert lognorm(p) == pytest.approx(total / split.n, abs=1e-12)
-    assert dlog(split.average(), f) <= 1e-15
+    assert dlog(folded_average(split), f) <= 1e-15
 
 
 def folded_average(split):
@@ -101,8 +102,7 @@ def test_convex_split_average_equals_the_folded_sum(rng):
     draws = [(ONE, 0.1), (StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0), 0.3)]
     draws += [(make_random_step(rng, max_pieces=20), eps) for eps in (0.2, 0.05) for _ in range(10)]
     for f, eps in draws:
-        split = convex_split(f, eps)
-        assert split.average() == folded_average(split)
+        assert convex_split(f, eps).verify(f)
 
 
 def test_convex_split_breakpoints_do_not_drift():
@@ -161,6 +161,7 @@ def test_convex_split_matches_the_references(f, eps):
     want = tuple(_restrict_by_clip(nf, a, b) if not nf.is_zero() else nf
                  for a, b in zip(split.breakpoints, split.breakpoints[1:]))
     assert repr(split.pieces) == repr(want)
+    assert split.verify(f)
 
 
 def test_convex_split_verify():
@@ -168,6 +169,21 @@ def test_convex_split_verify():
     split = convex_split(f, 0.3)
     assert split.verify(f)
     assert not split.verify(scale(f, 2))
+    # n = 7 slices; the fourth spans the gap between f's pieces, so it has two
+    pieces, (a, b, c) = split.pieces, split.breakpoints[:3]
+    assert split.n == 7 and len(pieces[3].pieces) == 2
+    nf, moved = scale(f, 7), (b + c) / 2
+    for slices in [
+        # one slice scaled by 1 + 1e-9
+        pieces[:3] + (scale(pieces[3], 1 + 1e-9),) + pieces[4:],
+        # one slice missing a piece
+        pieces[:3] + (StepFunction(pieces[3].pieces[1:], 1.0),) + pieces[4:],
+        # two slices swapped
+        (pieces[1], pieces[0]) + pieces[2:],
+        # a breakpoint moved: the slices still join to n f, but their norms differ
+        (restrict(nf, a, moved), restrict(nf, moved, c)) + pieces[2:],
+    ]:
+        assert not dataclasses.replace(split, pieces=slices).verify(f)
 
 
 def test_convex_split_requires_unit_measure():
