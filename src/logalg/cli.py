@@ -60,47 +60,27 @@ def _sweep(args, f):
     return "\n".join(["r,radial_mean"] + [f"{r:.15g},{v:.15g}" for r, v in rows])
 
 
-def _cauchy(args, seq) -> dict:
-    limit, report = witnesses.cauchy_limit(seq, args.tol)
-    return {"is_cauchy": report.is_cauchy, "distances": list(report.distances),
-            "gap": report.gap, "limit": limit.to_json(),
-            "limit_distance": report.limit_distance}
-
-
 def _witness(args, f=None):
-    """The separation document; the other two kinds print theirs, then re-check it."""
+    """The separation document, or the record of the other two kinds."""
     if args.kind == "separation":
         if args.k < 1:
             raise InvalidParameterError("k must be a positive integer")
         return {"sequence": [witnesses.separation_sequence(k).to_json()
                              for k in range(1, args.k + 1)]}
     if args.kind == "nonbounded":
-        doc = witnesses.unboundedness_witness(args.eps, args.N).to_json()
-        print(jsonio.dumps(doc))
-        if not doc["valid"]:
-            raise InvariantError("unboundedness witness failed re-check")
-    elif f is None:
+        return witnesses.unboundedness_witness(args.eps, args.N)
+    if f is None:
         raise InvalidParameterError("witness nonconvex requires --input")
-    else:
-        split = witnesses.convex_split(f, args.eps)
-        print(jsonio.dumps(split.to_json()))
-        if not split.verify(f):
-            raise InvariantError("convex split failed re-check")
-    return None
-
-
-def _selftest(args) -> None:
-    failures = logalg.selftest.run_all(seed=args.seed, trials=args.trials)
-    if failures:
-        raise InvariantError(f"selftest failed: {', '.join(failures)}")
+    return witnesses.convex_split(f, args.eps)
 
 
 INPUT = ("--input", dict(required=True, help="JSON file path, inline JSON, or '-' for stdin"))
 OTHER = ("--other", dict(required=True, help="second operand (same formats)"))
 
 # One row per verb: name, help, parsers of its --input and --other operands,
-# its arguments, and the map from (args, *operands) to the output document
-# (None when the verb printed for itself).
+# its arguments, and the map from (args, *operands) to its result: a document,
+# a record with to_json() and perhaps verify(), or None when the verb printed
+# for itself.
 VERBS = (
     ("norm", "log F-norm of a step function", (STEP,), (INPUT,),
      lambda a, f: {"lognorm": stepfn.lognorm(f)}),
@@ -109,7 +89,7 @@ VERBS = (
     ("orlicz", "Orlicz-style F-norm", (STEP,), (INPUT,),
      lambda a, f: {"orlicz_fnorm": stepfn.orlicz_fnorm(f)}),
     ("rearrange", "decreasing rearrangement", (STEP,), (INPUT,),
-     lambda a, f: stepfn.decreasing_rearrangement(f).to_json()),
+     lambda a, f: stepfn.decreasing_rearrangement(f)),
     ("op-norm", "matrix log F-norm", (MATRIX,), (INPUT,),
      lambda a, T: {"lognorm": logalg.operators.lognorm_op(T)}),
     ("op-dist", "matrix dlog metric", (MATRIX, MATRIX), (INPUT, OTHER),
@@ -120,14 +100,14 @@ VERBS = (
      (INPUT, ("--a", dict(type=float, required=True)),
       ("--b", dict(type=float, default=None, help="omit for [a, inf)"))),
      lambda a, T: logalg.operators.spectral_project(
-         T, a.a, math.inf if a.b is None else a.b).to_json()),
+         T, a.a, math.inf if a.b is None else a.b)),
     ("split", "bounded/tail spectral split", (MATRIX,),
      (INPUT, ("--K", dict(type=float, required=True))),
-     lambda a, T: logalg.operators.split_at(T, a.K).to_json()),
+     lambda a, T: logalg.operators.split_at(T, a.K)),
     ("fkdet", "Fuglede-Kadison determinant", (MATRIX,), (INPUT,),
      lambda a, T: {"fk_determinant": logalg.operators.fk_determinant(T)}),
     ("embed", "diagonal embedding", (STEP,), (INPUT, ("--n", dict(type=int, required=True))),
-     lambda a, f: logalg.operators.embed_diagonal(f, a.n).to_json()),
+     lambda a, f: logalg.operators.embed_diagonal(f, a.n)),
     ("nev-eval", "evaluate a disk function", (TREE,),
      (INPUT, ("--re", dict(type=float, default=0.0)), ("--im", dict(type=float, default=0.0))),
      lambda a, f: {"value": logalg.holo.evaluate(f, complex(a.re, a.im))}),
@@ -137,7 +117,7 @@ VERBS = (
      _sweep),
     ("nev-smirnov", "Smirnov-class defect", (TREE,),
      (INPUT, ("--tol", dict(type=float, default=1e-4))),
-     lambda a, f: logalg.holo.smirnov_defect(f, a.tol).to_json()),
+     lambda a, f: logalg.holo.smirnov_defect(f, a.tol)),
     ("witness", "negative-result constructions", (STEP,),
      (("kind", dict(choices=("nonbounded", "nonconvex", "separation"))),
       ("--input", dict(help="step function (nonconvex only)")),
@@ -146,10 +126,10 @@ VERBS = (
      _witness),
     ("cauchy", "Cauchy classification and limit extraction", (_step_list,),
      (INPUT, ("--tol", dict(type=float, default=1e-9))),
-     _cauchy),
+     lambda a, seq: witnesses.cauchy_limit(seq, a.tol)[1]),
     ("selftest", "run the invariant suites", (),
      (("--seed", dict(type=int, default=0)), ("--trials", dict(type=int, default=200))),
-     _selftest),
+     lambda a: logalg.selftest.run_all(seed=a.seed, trials=a.trials)),
 )
 
 
@@ -174,7 +154,10 @@ def main(argv=None) -> int:
                     for parse, source in zip(args.parsers, sources) if source is not None]
         out = args.run(args, *operands)
         if out is not None:
-            print(out if isinstance(out, str) else jsonio.dumps(out))
+            doc = out.to_json() if hasattr(out, "to_json") else out
+            print(doc if isinstance(doc, str) else jsonio.dumps(doc))
+        if hasattr(out, "verify") and not out.verify():
+            raise InvariantError(f"{type(out).__name__} failed its own check")
         return 0
     except LogAlgError as exc:
         err = exc

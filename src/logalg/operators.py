@@ -27,8 +27,10 @@ class MatrixOperator:
         a = np.array(self.entries, dtype=complex)
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise MalformedInputError("entries must form a square matrix of size >= 1")
-        if not np.all(np.isfinite(a)):
-            raise MalformedInputError("matrix entries must be finite")
+        with np.errstate(over="ignore"):  # finite parts whose modulus overflows
+            finite = np.isfinite(np.abs(a)).all()
+        if not finite:
+            raise MalformedInputError("matrix entries must have a finite modulus")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 
@@ -83,13 +85,13 @@ class MatrixOperator:
     @staticmethod
     def from_json(obj: dict) -> "MatrixOperator":
         try:
-            n = int(obj["n"])
+            n = obj["n"]
             re = np.asarray(obj["re"], dtype=float)
             im = np.asarray(obj.get("im", np.zeros_like(re)), dtype=float)
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad matrix JSON: {exc}") from exc
-        if re.shape != (n, n) or im.shape != (n, n):
-            raise MalformedInputError("matrix JSON arrays must be n x n")
+        if type(n) is not int or re.shape != (n, n) or im.shape != (n, n):
+            raise MalformedInputError("matrix JSON needs an integer n and n x n arrays")
         return MatrixOperator(re + 1j * im)
 
 
@@ -133,6 +135,8 @@ def _flushed(s: np.ndarray) -> np.ndarray:
 
 def singular_numbers(T: MatrixOperator) -> SingularStep:
     """Singular values as a step function on (0, 1]: each carries width 1/n."""
+    if not T.operator_norm() < math.inf:
+        raise InvalidParameterError("value overflows a double")
     return SingularStep([(1.0 / T.n, float(s)) for s in T.singular_values])
 
 

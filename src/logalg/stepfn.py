@@ -115,8 +115,8 @@ class SingularStep:
             height = float(height)
             if not width > 0:
                 raise MalformedInputError("step widths must be positive")
-            if not height >= 0:
-                raise MalformedInputError("step heights must be nonnegative")
+            if not 0 <= height < math.inf:
+                raise MalformedInputError("step heights must be finite and nonnegative")
             if height > prev_h:
                 raise MalformedInputError("step heights must be nonincreasing")
             if merged and merged[-1][1] == height:
@@ -204,7 +204,7 @@ def _computed(pieces: list, total_measure: float) -> StepFunction:
             raise InvalidParameterError("value overflows a double")
         if v != 0:
             if merged and merged[-1][1] == l and merged[-1][2] == v:
-                l = merged.pop()[0]
+                l, _, v = merged.pop()  # the first value, as the constructor: 1+0j == 1-0j
             merged.append((l, r, v))
     fn = object.__new__(StepFunction)
     object.__setattr__(fn, "pieces", tuple(merged))

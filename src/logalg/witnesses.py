@@ -66,21 +66,34 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
     )
 
 
+def _too_coarse(parts, n: int, eps: float) -> bool:
+    """lognorm(n f) / n >= eps for parts [(width, value)] of f, without building n f."""
+    # n * v is scale's product
+    return _integral((w * math.log1p(abs(n * v)) for w, v in parts), parts) / n >= eps
+
+
 @dataclass(frozen=True)
 class ConvexSplit:
     """f as the average of n pieces of n*f, each of small log F-norm."""
 
+    f: StepFunction
+    eps: float
     n: int
     breakpoints: tuple
     pieces: tuple  # of StepFunction
 
-    def verify(self, f: StepFunction) -> bool:
-        """Re-check against f: the pieces join to n f, and each has norm lognorm(n f)/n."""
-        nf = scale(f, self.n)
+    def verify(self) -> bool:
+        """n is minimal with lognorm(n f)/n < eps, the pieces join to n f, and each
+        has norm lognorm(n f)/n."""
+        parts = [(r - l, v) for l, r, v in self.f.pieces]
+        minimal = not _too_coarse(parts, self.n, self.eps) and (
+            self.n == 1 or _too_coarse(parts, self.n - 1, self.eps))
+        nf = scale(self.f, self.n)
         # _computed trusts their order: pieces out of order join to something other than n f
         joined = _computed([q for p in self.pieces for q in p.pieces], self.pieces[0].total_measure)
         target = lognorm(nf) / self.n
-        return joined == nf and all(abs(lognorm(p) - target) < 1e-12 for p in self.pieces)
+        return minimal and joined == nf and all(abs(lognorm(p) - target) < 1e-12
+                                                for p in self.pieces)
 
     def to_json(self) -> dict:
         return {"n": self.n, "breakpoints": list(self.breakpoints),
@@ -102,15 +115,10 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
         raise InvalidParameterError("convex_split requires support in [0, 1)")
 
     parts = [(r - l, v) for l, r, v in f.pieces]
-
-    def too_coarse(n: int) -> bool:
-        # lognorm(scale(f, n)) / n >= eps, without building n f: n * v is scale's product
-        return _integral((w * math.log1p(abs(n * v)) for w, v in parts), parts) / n >= eps
-
     # lognorm(n f) / n decreases in n, as log(1 + t) / t does: double hi
     # until it passes, then bisect (lo, hi] down to the first n that passes
     lo, hi = 0, 1
-    while too_coarse(hi):
+    while _too_coarse(parts, hi, eps):
         if hi >= _MAX_SLICES:
             raise InvalidParameterError(
                 f"eps = {eps!r} needs more than {_MAX_SLICES} slices, "
@@ -118,7 +126,7 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if too_coarse(mid) else (lo, mid)
+        lo, hi = (mid, hi) if _too_coarse(parts, mid, eps) else (lo, mid)
     n = hi
 
     nf = scale(f, n)
@@ -140,7 +148,7 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
 
     pieces = tuple(restrict(nf, a, b) if not nf.is_zero() else nf
                    for a, b in zip(breakpoints, breakpoints[1:]))
-    return ConvexSplit(n=n, breakpoints=tuple(breakpoints), pieces=pieces)
+    return ConvexSplit(f=f, eps=eps, n=n, breakpoints=tuple(breakpoints), pieces=pieces)
 
 
 @dataclass(frozen=True)
@@ -184,7 +192,13 @@ class CauchyReport:
     distances: tuple
     is_cauchy: bool
     gap: float                 # last successive distance when not Cauchy
+    limit: StepFunction        # the extracted limit; the last term if not Cauchy
     limit_distance: float | None  # dlog from the last term to the limit; None if not Cauchy
+
+    def to_json(self) -> dict:
+        return {"is_cauchy": self.is_cauchy, "distances": list(self.distances),
+                "gap": self.gap, "limit": self.limit.to_json(),
+                "limit_distance": self.limit_distance}
 
 
 def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
@@ -230,8 +244,6 @@ def cauchy_limit(seq, tol: float):
     distances = [dlog(a, b) for a, b in zip(seq, seq[1:])]
     is_cauchy = any(sum(distances[j:]) < tol for j in range(len(distances)))
     if not is_cauchy:
-        report = CauchyReport(tuple(distances), False, distances[-1], None)
-        return seq[-1], report
+        return seq[-1], CauchyReport(tuple(distances), False, distances[-1], seq[-1], None)
     limit = _piecewise_limit(seq)
-    report = CauchyReport(tuple(distances), True, 0.0, dlog(seq[-1], limit))
-    return limit, report
+    return limit, CauchyReport(tuple(distances), True, 0.0, limit, dlog(seq[-1], limit))

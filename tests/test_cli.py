@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logalg import (InvalidParameterError, InvariantError, StepFunction, jsonio, lognorm,
-                    orlicz_fnorm, selftest)
+                    orlicz_fnorm, selftest, witnesses)
 from logalg.cli import main
 from test_stepfn import step_functions
 
@@ -176,6 +176,21 @@ def test_witness_nonbounded(capsys):
     report = json.loads(out)
     assert report["valid"]
     assert report["K"] == 2.0
+
+
+@pytest.mark.parametrize("record, argv, build", [
+    ("ConvexSplit", ["witness", "nonconvex", "--input", step_json((0, 1, 1), total=1)],
+     lambda: witnesses.convex_split(StepFunction([(0, 1, 1.0)], 1.0), 0.1)),
+    ("UnboundednessWitness", ["witness", "nonbounded", "--eps", "1", "--N", "2"],
+     lambda: witnesses.unboundedness_witness(1.0, 2)),
+])
+def test_witness_that_fails_its_check_exits_1(capsys, monkeypatch, record, argv, build):
+    # main prints the record, then calls its verify()
+    monkeypatch.setattr(getattr(witnesses, record), "verify", lambda self: False)
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == jsonio.dumps(build().to_json()) + "\n"
+    assert err == f"error: invariant-check: {record} failed its own check\n"
 
 
 def test_cauchy_verb(capsys):
@@ -379,6 +394,11 @@ BIG = "1" + "0" * 400  # an integer literal no double can hold
      "invalid-parameter: polynomial coefficients must be finite"),
     (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": 1.7e308, '
                          '"im": 1.7e308}]}'], "malformed-input: piece values must be finite"),
+    (["op-norm", "--input", '{"n": 1, "re": [[1.7e308]], "im": [[1.7e308]]}'],
+     "malformed-input: matrix entries must have a finite modulus"),
+    (["op-norm", "--input", '{"n": 2.9, "re": [[1, 2], [0, 1]]}'], "malformed-input: "),
+    (["op-norm", "--input", '{"n": "2", "re": [[1, 2], [0, 1]]}'], "malformed-input: "),
+    (["op-norm", "--input", '{"n": true, "re": [[1]]}'], "malformed-input: "),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

@@ -454,6 +454,12 @@ def test_an_overflowing_sigma_max_is_not_flushed():
     assert lognorm_op(T) == pytest.approx(math.log(math.sqrt(2) * 1e308), rel=1e-12)
 
 
+def test_singular_numbers_refuse_an_overflowing_sigma_max():
+    # sigma_max = 2e308 overflows to inf, which no step height may be
+    with pytest.raises(InvalidParameterError, match="value overflows a double"):
+        singular_numbers(mat([[1e308, 1e308], [1e308, 1e308]]))
+
+
 def test_derived_operators_run_their_own_svd(rng, svd_calls):
     S, T = make_random_matrix(rng, 4), make_random_matrix(rng, 4)
     for A in (S, T):

@@ -42,6 +42,7 @@ REFUSED = {
     "increasing heights": (lambda: logalg.SingularStep(((1.0, 1.0), (1.0, 5.0))),
                            MalformedInputError),
     "nan height": (lambda: logalg.SingularStep(((1.0, float("nan")),)), MalformedInputError),
+    "inf height": (lambda: logalg.SingularStep(((1.0, float("inf")),)), MalformedInputError),
     "blaschke outside the disk": (lambda: logalg.BlaschkeFactor(2.0), InvalidParameterError),
     "negative singular weight": (lambda: logalg.SingularInner(-1.0), InvalidParameterError),
     "nan singular weight": (lambda: logalg.SingularInner(float("nan")), InvalidParameterError),
@@ -53,6 +54,8 @@ REFUSED = {
                                      InvalidParameterError),
     "step of infinite modulus": (lambda: logalg.StepFunction([(0, 1, 1.7e308 + 1.7e308j)], 1),
                                  MalformedInputError),
+    "matrix entry of infinite modulus": (lambda: logalg.MatrixOperator([[1.7e308 + 1.7e308j]]),
+                                         MalformedInputError),
     "rational with a pole at 1": (lambda: logalg.SafeRational([1], [1, -1]), StructureError),
 }
 # main(), then whether numpy was loaded, on stderr

@@ -465,6 +465,9 @@ HUGE = grid_step_functions(values=(0, 1, -1, 2j, 1e308, -1e308, 1e308j, 6e307 + 
 
 @settings(max_examples=200, deadline=None)
 @given(HUGE, HUGE, st.sampled_from(["add", "sub", "mul"]))
+# (-1+0j) * (-1+0j) is 1-0j: equal to its neighbour 1+0j, but printed differently
+@example(StepFunction([(0.0, 0.25, 1), (0.25, 0.375, -1)], 1.0),
+         StepFunction([(0.0, 0.25, 1), (0.25, 0.375, -1)], 1.0), "mul")
 def test_computed_matches_the_constructor(f, g, op):
     # the pieces pointwise hands over: sorted, disjoint, with zeros, equal
     # neighbours and values that overflow a double

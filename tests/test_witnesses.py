@@ -102,7 +102,7 @@ def test_convex_split_average_equals_the_folded_sum(rng):
     draws = [(ONE, 0.1), (StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0), 0.3)]
     draws += [(make_random_step(rng, max_pieces=20), eps) for eps in (0.2, 0.05) for _ in range(10)]
     for f, eps in draws:
-        assert convex_split(f, eps).verify(f)
+        assert convex_split(f, eps).verify()
 
 
 def test_convex_split_breakpoints_do_not_drift():
@@ -161,18 +161,21 @@ def test_convex_split_matches_the_references(f, eps):
     want = tuple(_restrict_by_clip(nf, a, b) if not nf.is_zero() else nf
                  for a, b in zip(split.breakpoints, split.breakpoints[1:]))
     assert repr(split.pieces) == repr(want)
-    assert split.verify(f)
+    assert split.verify()
 
 
 def test_convex_split_verify():
     f = StepFunction.make([(0.1, 0.4, 2 - 1j), (0.6, 0.9, 5.0)], 1.0)
     split = convex_split(f, 0.3)
-    assert split.verify(f)
-    assert not split.verify(scale(f, 2))
+    assert split.verify()
+    assert not dataclasses.replace(split, f=scale(f, 2)).verify()
     # n = 7 slices; the fourth spans the gap between f's pieces, so it has two
     pieces, (a, b, c) = split.pieces, split.breakpoints[:3]
     assert split.n == 7 and len(pieces[3].pieces) == 2
     nf, moved = scale(f, 7), (b + c) / 2
+    # eps at or below the slices' norm, and eps so large that 6 slices would do
+    for eps in (lognorm(nf) / 7, lognorm(nf) / 8, lognorm(scale(f, 6)) / 6 * (1 + 1e-9)):
+        assert not dataclasses.replace(split, eps=eps).verify()
     for slices in [
         # one slice scaled by 1 + 1e-9
         pieces[:3] + (scale(pieces[3], 1 + 1e-9),) + pieces[4:],
@@ -183,7 +186,7 @@ def test_convex_split_verify():
         # a breakpoint moved: the slices still join to n f, but their norms differ
         (restrict(nf, a, moved), restrict(nf, moved, c)) + pieces[2:],
     ]:
-        assert not dataclasses.replace(split, pieces=slices).verify(f)
+        assert not dataclasses.replace(split, pieces=slices).verify()
 
 
 def test_convex_split_requires_unit_measure():
