@@ -24,13 +24,14 @@ class MatrixOperator:
     entries: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.entries, dtype=complex)
+        a = np.array(self.entries, dtype=complex, order="C")
         if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
             raise MalformedInputError("entries must form a square matrix of size >= 1")
-        with np.errstate(over="ignore"):  # finite parts whose modulus overflows
-            finite = np.isfinite(np.abs(a)).all()
-        if not finite:
-            raise MalformedInputError("matrix entries must have a finite modulus")
+        big, parts = sys.float_info.max / 2, a.view(float)  # |entry| <= sqrt(2) max(|re|, |im|)
+        if not -big <= parts.min() <= parts.max() <= big:  # nan fails too
+            with np.errstate(over="ignore"):  # finite parts whose modulus overflows
+                if not np.isfinite(np.abs(a)).all():
+                    raise MalformedInputError("matrix entries must have a finite modulus")
         a.setflags(write=False)
         object.__setattr__(self, "entries", a)
 

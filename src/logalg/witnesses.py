@@ -84,7 +84,7 @@ class ConvexSplit:
 
     def verify(self) -> bool:
         """n is minimal with lognorm(n f)/n < eps, the pieces join to n f, and each
-        has norm lognorm(n f)/n."""
+        has norm lognorm(n f)/n and below eps."""
         parts = [(r - l, v) for l, r, v in self.f.pieces]
         minimal = not _too_coarse(parts, self.n, self.eps) and (
             self.n == 1 or _too_coarse(parts, self.n - 1, self.eps))
@@ -92,8 +92,8 @@ class ConvexSplit:
         # _computed trusts their order: pieces out of order join to something other than n f
         joined = _computed([q for p in self.pieces for q in p.pieces], self.pieces[0].total_measure)
         target = lognorm(nf) / self.n
-        return minimal and joined == nf and all(abs(lognorm(p) - target) < 1e-12
-                                                for p in self.pieces)
+        return minimal and joined == nf and all(
+            abs((q := lognorm(p)) - target) < 1e-12 and q < self.eps for p in self.pieces)
 
     def to_json(self) -> dict:
         return {"n": self.n, "breakpoints": list(self.breakpoints),

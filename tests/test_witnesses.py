@@ -173,8 +173,10 @@ def test_convex_split_verify():
     pieces, (a, b, c) = split.pieces, split.breakpoints[:3]
     assert split.n == 7 and len(pieces[3].pieces) == 2
     nf, moved = scale(f, 7), (b + c) / 2
-    # eps at or below the slices' norm, and eps so large that 6 slices would do
-    for eps in (lognorm(nf) / 7, lognorm(nf) / 8, lognorm(scale(f, 6)) / 6 * (1 + 1e-9)):
+    # eps at or below the slices' norm (the largest one lies a few ulps above the
+    # bisection's lognorm(n f)/n), and eps so large that 6 slices would do
+    for eps in (max(lognorm(p) for p in pieces), lognorm(nf) / 7, lognorm(nf) / 8,
+                lognorm(scale(f, 6)) / 6 * (1 + 1e-9)):
         assert not dataclasses.replace(split, eps=eps).verify()
     for slices in [
         # one slice scaled by 1 + 1e-9
