@@ -135,7 +135,8 @@ def _flushed(s: np.ndarray) -> np.ndarray:
 
 
 def singular_numbers(T: MatrixOperator) -> SingularStep:
-    """Singular values as a step function on (0, 1]: each carries width 1/n."""
+    """Singular values as a step function on (0, 1]: each nonzero one carries width 1/n,
+    and the function is zero after them, as a StepFunction is zero off its pieces."""
     if not T.operator_norm() < math.inf:
         raise InvalidParameterError("value overflows a double")
     return SingularStep([(1.0 / T.n, float(s)) for s in T.singular_values])
@@ -188,6 +189,8 @@ def dtau(A: MatrixOperator, B: MatrixOperator) -> float:
 
 def _right_singular_projector(T: MatrixOperator, member) -> np.ndarray:
     """Projection onto the right-singular vectors whose sigma satisfies member()."""
+    if not T.operator_norm() < math.inf:  # an overflowed SVD has no sound vh
+        raise InvalidParameterError("value overflows a double")
     rows = T.vh[[bool(member(float(x))) for x in T.singular_values], :]
     return rows.conj().T @ rows
 

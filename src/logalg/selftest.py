@@ -19,10 +19,11 @@ from .errors import InvalidParameterError, InvariantError, LogAlgError
 SLACK = 1e-10
 
 
-def random_step(rng: np.random.Generator, total_measure: float = 1.0,
-                max_pieces: int = 6, max_scale: float = 10.0) -> stepfn.StepFunction:
+def random_step(rng: np.random.Generator, max_pieces: int = 6,
+                max_scale: float = 10.0) -> stepfn.StepFunction:
+    """Up to max_pieces random complex pieces on [0, 1)."""
     k = int(rng.integers(0, max_pieces + 1))
-    cuts = np.sort(rng.uniform(0, total_measure, size=2 * k))
+    cuts = np.sort(rng.uniform(0, 1.0, size=2 * k))
     pieces = []
     for i in range(k):
         l, r = cuts[2 * i], cuts[2 * i + 1]
@@ -30,12 +31,12 @@ def random_step(rng: np.random.Generator, total_measure: float = 1.0,
             continue
         v = complex(rng.normal(0, max_scale), rng.normal(0, max_scale))
         pieces.append((l, r, v))
-    return stepfn.StepFunction(pieces, total_measure)
+    return stepfn.StepFunction(pieces, 1.0)
 
 
-def random_matrix(rng: np.random.Generator, n: int,
-                  scale: float = 3.0) -> ops.MatrixOperator:
-    a = rng.normal(0, scale, (n, n)) + 1j * rng.normal(0, scale, (n, n))
+def random_matrix(rng: np.random.Generator, n: int) -> ops.MatrixOperator:
+    """n x n complex Gaussian matrix, each part of each entry of deviation 3."""
+    a = rng.normal(0, 3.0, (n, n)) + 1j * rng.normal(0, 3.0, (n, n))
     return ops.MatrixOperator(a)
 
 
@@ -148,8 +149,7 @@ def _matrix_products(rng, sizes):
         _require(nST <= nS + nT + SLACK, "lognorm(ST) <= lognorm(S) + lognorm(T)")
         _require(nST <= max(S.operator_norm(), 1.0) * nT + SLACK,
                  "lognorm(ST) <= max(||S||, 1) lognorm(T)")
-        muS = [h for _, h in ops.singular_numbers(S).steps]
-        muT = [h for _, h in ops.singular_numbers(T).steps]
+        muS, muT = S.singular_values, T.singular_values
         _require(nST <= sum(math.log1p(a * b) for a, b in zip(muS, muT)) / n + SLACK,
                  "submajorization of singular-number products")
         _require(ops.lognorm_op(S + T) <= nS + nT + SLACK, "triangle inequality")

@@ -32,7 +32,7 @@ class StepFunction:
     total_measure: float = math.inf
 
     def __post_init__(self):
-        """Validate and canonicalize: sort, merge equal neighbours, drop zeros."""
+        """Validate, then canonicalize the sorted nonzero pieces through _computed."""
         try:
             total_measure = float(self.total_measure)
             converted = [(float(l), float(r), complex(v)) for l, r, v in self.pieces]
@@ -40,31 +40,24 @@ class StepFunction:
             raise MalformedInputError(f"step function data is not numeric: {exc}") from exc
         if not (total_measure > 0):
             raise MalformedInputError("total_measure must be positive")
-        items = []
-        for left, right, value in converted:
+        for left, right, _ in converted:
             if not (math.isfinite(left) and math.isfinite(right)):
                 raise MalformedInputError("piece endpoints must be finite")
-            if not math.hypot(value.real, value.imag) < math.inf:  # abs raises on such |v|
-                raise MalformedInputError("piece values must be finite")
             if left < 0 or left >= right:
                 raise MalformedInputError(
                     f"piece [{left}, {right}) is not a valid interval in [0, inf)")
             if right > total_measure:
                 raise MalformedInputError(
                     f"piece [{left}, {right}) exceeds total_measure {total_measure}")
-            if value != 0:
-                items.append((left, right, value))
-        items.sort(key=lambda p: p[0])
-        merged: list[list] = []
-        for left, right, value in items:
-            if merged and left < merged[-1][1]:
-                raise MalformedInputError(
-                    f"pieces overlap near x = {left}")
-            if merged and left == merged[-1][1] and value == merged[-1][2]:
-                merged[-1][1] = right
-            else:
-                merged.append([left, right, value])
-        object.__setattr__(self, "pieces", tuple((l, r, v) for l, r, v in merged))
+        items = sorted((p for p in converted if p[2] != 0), key=_LEFT)
+        for (_, right, _), (left, _, _) in zip(items, items[1:]):
+            if left < right:
+                raise MalformedInputError(f"pieces overlap near x = {left}")
+        try:
+            pieces = _computed(items, total_measure).pieces
+        except InvalidParameterError:  # a value of infinite modulus is input, not arithmetic
+            raise MalformedInputError("piece values must be finite") from None
+        object.__setattr__(self, "pieces", pieces)
         object.__setattr__(self, "total_measure", total_measure)
 
     @staticmethod
@@ -99,10 +92,10 @@ class StepFunction:
 
 @dataclass(frozen=True)
 class SingularStep:
-    """Nonincreasing nonnegative step function: tuple of (width, height).
+    """Nonincreasing nonnegative step function: tuple of (width, height), zero after it.
 
-    Heights are merged when equal; trailing zero-height steps are kept if
-    given (matrix singular value lists carry them) but ignored by equality.
+    Equal heights are merged and zero heights dropped, as a StepFunction is
+    zero off its pieces, so == and hash compare the functions.
     """
 
     steps: tuple[tuple[float, float], ...]
@@ -119,44 +112,34 @@ class SingularStep:
                 raise MalformedInputError("step heights must be finite and nonnegative")
             if height > prev_h:
                 raise MalformedInputError("step heights must be nonincreasing")
+            prev_h = height
+            if height == 0:
+                continue
             if merged and merged[-1][1] == height:
                 merged[-1][0] += width
             else:
                 merged.append([width, height])
-            prev_h = height
         object.__setattr__(self, "steps", tuple((w, h) for w, h in merged))
-
-    def stripped(self) -> tuple[tuple[float, float], ...]:
-        """Steps with zero heights removed (the support part)."""
-        return tuple((w, h) for w, h in self.steps if h > 0)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SingularStep):
-            return NotImplemented
-        return self.stripped() == other.stripped()
-
-    def __hash__(self):
-        return hash(self.stripped())
 
     def total_width(self) -> float:
         return sum(w for w, _ in self.steps)
 
-    def approx_eq(self, other: "SingularStep", rtol: float = 1e-13) -> bool:
-        """Equality of support parts up to relative rounding in the heights.
+    def approx_eq(self, other: "SingularStep") -> bool:
+        """Equality up to a relative rounding of 1e-13 in the widths and heights.
 
         Heights coming from an SVD can differ from exact moduli by a few
         ulps, so strict float equality is too brittle for cross-checks.
         """
-        a, b = self.stripped(), other.stripped()
+        a, b = self.steps, other.steps
         if len(a) != len(b):
             return False
-        return all(math.isclose(wa, wb, rel_tol=rtol, abs_tol=0.0)
-                   and math.isclose(ha, hb, rel_tol=rtol, abs_tol=0.0)
+        return all(math.isclose(wa, wb, rel_tol=1e-13, abs_tol=0.0)
+                   and math.isclose(ha, hb, rel_tol=1e-13, abs_tol=0.0)
                    for (wa, ha), (wb, hb) in zip(a, b))
 
     def log_integral(self) -> float:
         """Integral of log(1 + height) against width."""
-        return _integral((w * math.log1p(h) for w, h in self.steps), self.stripped())
+        return _integral((w * math.log1p(h) for w, h in self.steps), self.steps)
 
     def to_json(self) -> dict:
         return {"steps": [{"w": w, "h": h} for w, h in self.steps]}
@@ -196,7 +179,8 @@ def _computed(pieces: list, total_measure: float) -> StepFunction:
 
     Trusts their sorted, disjoint pieces in [0, total_measure].  Checks each value:
     an inf or NaN value or modulus is arithmetic that overflowed a double, not
-    malformed input.  Drops zeros and merges equal neighbours, as the constructor.
+    malformed input.  The one canonical form: drops zeros and merges equal
+    neighbours, keeping the first value (1+0j == 1-0j).
     """
     merged = []
     for l, r, v in pieces:
@@ -204,7 +188,7 @@ def _computed(pieces: list, total_measure: float) -> StepFunction:
             raise InvalidParameterError("value overflows a double")
         if v != 0:
             if merged and merged[-1][1] == l and merged[-1][2] == v:
-                l, _, v = merged.pop()  # the first value, as the constructor: 1+0j == 1-0j
+                l, _, v = merged.pop()
             merged.append((l, r, v))
     fn = object.__new__(StepFunction)
     object.__setattr__(fn, "pieces", tuple(merged))
@@ -327,8 +311,7 @@ def truncate(f: StepFunction, M: float) -> StepFunction:
     """Keep f where |f| <= M (ties kept), zero elsewhere."""
     if not M > 0:
         raise InvalidParameterError("truncation level M must be positive")
-    return StepFunction([(l, r, v) for l, r, v in f.pieces if abs(v) <= M],
-                        f.total_measure)
+    return _computed([(l, r, v) for l, r, v in f.pieces if abs(v) <= M], f.total_measure)
 
 
 def approximate_in_l1(f: StepFunction, eps: float) -> StepFunction:

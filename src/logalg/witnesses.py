@@ -111,8 +111,6 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
         raise InvalidParameterError("eps must be positive")
     if f.total_measure != 1:
         raise InvalidParameterError("convex_split requires total_measure 1")
-    if any(r > 1 for _, r, _ in f.pieces):
-        raise InvalidParameterError("convex_split requires support in [0, 1)")
 
     parts = [(r - l, v) for l, r, v in f.pieces]
     # lognorm(n f) / n decreases in n, as log(1 + t) / t does: double hi
@@ -146,8 +144,7 @@ def convex_split(f: StepFunction, eps: float) -> ConvexSplit:
     if any(b <= a for a, b in zip(breakpoints, breakpoints[1:])):
         raise InvalidParameterError(f"eps = {eps!r} needs slices narrower than a double resolves")
 
-    pieces = tuple(restrict(nf, a, b) if not nf.is_zero() else nf
-                   for a, b in zip(breakpoints, breakpoints[1:]))
+    pieces = tuple(restrict(nf, a, b) for a, b in zip(breakpoints, breakpoints[1:]))
     return ConvexSplit(f=f, eps=eps, n=n, breakpoints=tuple(breakpoints), pieces=pieces)
 
 

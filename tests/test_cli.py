@@ -364,6 +364,7 @@ def test_embed_too_large_refused(capsys):
 
 
 BIG = "1" + "0" * 400  # an integer literal no double can hold
+OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 2e308 is inf
 
 
 @pytest.mark.parametrize("argv, prefix", [
@@ -399,6 +400,9 @@ BIG = "1" + "0" * 400  # an integer literal no double can hold
     (["op-norm", "--input", '{"n": 2.9, "re": [[1, 2], [0, 1]]}'], "malformed-input: "),
     (["op-norm", "--input", '{"n": "2", "re": [[1, 2], [0, 1]]}'], "malformed-input: "),
     (["op-norm", "--input", '{"n": true, "re": [[1]]}'], "malformed-input: "),
+    (["nev-eval", "--input", '{"op": "foo"}'], "structure: unknown expression op 'foo'"),
+    (["split", "--input", OVERFLOWING, "--K", "1"], "invalid-parameter: value overflows"),
+    (["project", "--input", OVERFLOWING, "--a", "1"], "invalid-parameter: value overflows"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

@@ -9,7 +9,7 @@ from logalg import (DomainMismatchError, InvalidParameterError,
                     MalformedInputError, MatrixOperator, SingularStep, StepFunction,
                     decreasing_rearrangement, dlog_op, dtau, embed_diagonal,
                     fk_determinant, lognorm, lognorm_op, measure_above,
-                    singular_numbers, spectral_project, split_at)
+                    selftest, singular_numbers, spectral_project, split_at)
 from conftest import make_random_matrix
 
 
@@ -86,7 +86,7 @@ def test_singular_numbers_unitary():
 
 def test_singular_numbers_nilpotent():
     s = singular_numbers(mat([[0, 2], [0, 0]]))
-    assert s.steps == ((0.5, 2.0), (0.5, 0.0))
+    assert s.steps == ((0.5, 2.0),)  # zero after its steps: sigma_2 = 0 lists no step
 
 
 # -------------------------------------------------------------------- lognorm
@@ -152,6 +152,15 @@ def test_dtau_tiny_difference_underflows_to_zero():
     # 1/sigma overflows here; the term 2^(1-k0)/n is 0.0 for every sigma < 2^-11
     assert dtau(diag(1e-310, 1e-310), zero(2)) == 0.0
     assert dtau(diag(1e-5, 0.4), zero(2)) == pytest.approx(0.125)
+
+
+@pytest.mark.parametrize("sigma, want", [
+    (math.nextafter(0.1, 0), 2.0 ** -10),  # 1 / sigma rounds to 10: k0 rises to 11
+    (1 / 49, 2.0 ** -48),                   # ceil(1 / sigma) is 50: k0 falls to 49
+])
+def test_dtau_aligns_the_threshold_with_the_membership_test(sigma, want):
+    # the smallest k with 1/k <= sigma, tested in floats, is k0; sigma counts 2^(1 - k0)
+    assert dtau(diag(sigma), zero(1)) == want
 
 
 def test_dtau_matches_series(rng):
@@ -262,8 +271,9 @@ def test_small_singular_values_above_the_noise_floor_are_kept():
 def test_rounding_noise_of_a_rank_one_matrix_is_an_exact_zero():
     # the SVD returns about 2e-16 for the second singular value, below 5 * 2 * eps
     T = mat([[1, 2], [2, 4]])
-    assert singular_numbers(T).steps[-1] == (0.5, 0.0)
+    assert T.singular_values[-1] == 0.0
     assert fk_determinant(T) == 0.0
+    assert singular_numbers(T).steps == ((0.5, T.singular_values[0]),)
 
 
 # ------------------------------------------------------------------ embedding
@@ -336,10 +346,16 @@ def test_submajorization_product(rng):
     for _ in range(100):
         n = int(rng.integers(1, 9))
         S, T = make_random_matrix(rng, n), make_random_matrix(rng, n)
-        muS = [h for _, h in singular_numbers(S).steps]
-        muT = [h for _, h in singular_numbers(T).steps]
-        bound = sum(math.log1p(a * b) for a, b in zip(muS, muT)) / n
+        bound = sum(math.log1p(a * b) for a, b in zip(S.singular_values, T.singular_values)) / n
         assert lognorm_op(S @ T) <= bound + 1e-10
+
+
+def test_the_submajorization_check_pairs_every_singular_value(monkeypatch):
+    # S = T = I: singular_numbers merges the n equal values into one step, which
+    # read as one value each gives the bound log(2)/n below lognorm(ST) = log 2
+    monkeypatch.setattr(selftest, "random_matrix", lambda rng, n: identity(n))
+    sizes = selftest.Sizes(step_trials=1, trials=3, radial_k=1, smirnov_tol=1e-3)
+    selftest._matrix_products(np.random.default_rng(0), sizes)
 
 
 def test_one_sided_multiplication_continuity(rng):

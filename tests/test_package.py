@@ -41,6 +41,7 @@ REFUSED = {
     "step of negative measure": (lambda: logalg.StepFunction.zero(-1.0), MalformedInputError),
     "increasing heights": (lambda: logalg.SingularStep(((1.0, 1.0), (1.0, 5.0))),
                            MalformedInputError),
+    "zero step width": (lambda: logalg.SingularStep(((0.0, 1.0),)), MalformedInputError),
     "nan height": (lambda: logalg.SingularStep(((1.0, float("nan")),)), MalformedInputError),
     "inf height": (lambda: logalg.SingularStep(((1.0, float("inf")),)), MalformedInputError),
     "blaschke outside the disk": (lambda: logalg.BlaschkeFactor(2.0), InvalidParameterError),
@@ -57,6 +58,28 @@ REFUSED = {
     "matrix entry of infinite modulus": (lambda: logalg.MatrixOperator([[1.7e308 + 1.7e308j]]),
                                          MalformedInputError),
     "rational with a pole at 1": (lambda: logalg.SafeRational([1], [1, -1]), StructureError),
+}
+
+STEP = logalg.StepFunction([(0.0, 0.5, 2.0)], 1.0)
+ONE = lambda: logalg.constant(1.0)  # noqa: E731  # a tree, built when a row runs
+IPE = InvalidParameterError
+# calls with a parameter out of its range, the error each raises, and its message
+OUT_OF_RANGE = {
+    "pointwise div": (lambda: logalg.pointwise(STEP, STEP, "div"), IPE, "unknown pointwise op"),
+    "l1 approximation at eps 0": (lambda: logalg.approximate_in_l1(STEP, 0), IPE, "eps must"),
+    "cauchy of one member": (lambda: logalg.cauchy_limit([STEP], 1e-9), IPE, "at least two"),
+    "cauchy at tol 0": (lambda: logalg.cauchy_limit([STEP, STEP], 0), IPE, "tol must"),
+    "class norm at tol 0": (lambda: logalg.class_norm(ONE(), 0), IPE, "tol must"),
+    "smirnov at tol 0": (lambda: logalg.smirnov_defect(ONE(), 0), IPE, "tol must"),
+    "phi sample of 0 points": (lambda: logalg.phi_sample(ONE(), 0), IPE, "grid size must"),
+    "measure above 0": (lambda: logalg.measure_above(logalg.MatrixOperator([[1.0]]), 0), IPE,
+                        "delta must"),
+    "embed at n 0": (lambda: logalg.embed_diagonal(STEP, 0), IPE, "n must"),
+    "embed of measure 2": (lambda: logalg.embed_diagonal(logalg.StepFunction.zero(2.0), 1), IPE,
+                           "requires total_measure 1"),
+    "separation at k 0": (lambda: logalg.separation_sequence(0), IPE, "k must"),
+    "binary pow": (lambda: logalg.Binary("pow", ONE(), ONE()), StructureError,
+                   "unknown expression op 'pow'"),
 }
 # main(), then whether numpy was loaded, on stderr
 VIA_MAIN = """
@@ -145,6 +168,12 @@ def test_an_unknown_name_is_an_attribute_error():
 def test_each_constructor_refuses_invalid_data(build, error):
     with pytest.raises(error):
         build()
+
+
+@pytest.mark.parametrize("call, error, message", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE.keys())
+def test_each_function_refuses_a_parameter_out_of_range(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_the_only_make_methods_are_aliases_of_two_constructors():

@@ -43,6 +43,17 @@ def test_piece_beyond_total_measure_rejected():
         sf((0, 2, 1), total=1.0)
 
 
+@pytest.mark.parametrize("piece, message", [
+    ((0, math.inf, 1), "piece endpoints must be finite"),
+    ((0.5, 0.25, 1), "not a valid interval"),
+    ((-0.5, 0.5, 1), "not a valid interval"),
+    ((0, 0.5, complex(math.nan, 0)), "piece values must be finite"),
+], ids=["inf-endpoint", "reversed", "negative", "nan-value"])
+def test_constructor_refuses_a_malformed_piece(piece, message):
+    with pytest.raises(MalformedInputError, match=message):
+        StepFunction([piece], 1.0)
+
+
 def test_json_round_trip():
     f = sf((0, 0.5, 1 + 2j), (1, 2, -3), total=4.0)
     assert StepFunction.from_json(f.to_json()) == f
@@ -460,6 +471,18 @@ def test_restrict_refuses_nan_bounds():
         restrict(sf((0, 1, 1), total=1.0), math.nan, 0.5)
 
 
+def _canonical(pieces):
+    """The reference canonical form: sorted, zeros dropped, equal neighbours
+    merged into the first one's value."""
+    out = []
+    for l, r, v in sorted((p for p in pieces if p[2] != 0), key=lambda p: p[0]):
+        if out and out[-1][1] == l and out[-1][2] == v:
+            out[-1] = (out[-1][0], r, out[-1][2])
+        else:
+            out.append((l, r, v))
+    return tuple(out)
+
+
 HUGE = grid_step_functions(values=(0, 1, -1, 2j, 1e308, -1e308, 1e308j, 6e307 + 6e307j))
 
 
@@ -468,18 +491,20 @@ HUGE = grid_step_functions(values=(0, 1, -1, 2j, 1e308, -1e308, 1e308j, 6e307 + 
 # (-1+0j) * (-1+0j) is 1-0j: equal to its neighbour 1+0j, but printed differently
 @example(StepFunction([(0.0, 0.25, 1), (0.25, 0.375, -1)], 1.0),
          StepFunction([(0.0, 0.25, 1), (0.25, 0.375, -1)], 1.0), "mul")
-def test_computed_matches_the_constructor(f, g, op):
+def test_computed_and_the_constructor_match_the_reference(f, g, op):
     # the pieces pointwise hands over: sorted, disjoint, with zeros, equal
-    # neighbours and values that overflow a double
+    # neighbours and values that overflow a double; the constructor gets them reversed
     combine = stepfn._COMBINE[op]
     pieces = [(l, r, combine(fv, gv)) for l, r, (fv, gv) in stepfn._refine((f, g))]
-    try:
-        want = StepFunction(pieces, 1.0)
-    except MalformedInputError:
+    if any(not math.hypot(v.real, v.imag) < math.inf for _, _, v in pieces):
         with pytest.raises(InvalidParameterError, match="overflows a double"):
             stepfn._computed(pieces, 1.0)
+        with pytest.raises(MalformedInputError, match="piece values must be finite"):
+            StepFunction(pieces[::-1], 1.0)
     else:
-        assert repr(stepfn._computed(pieces, 1.0)) == repr(want)
+        want = repr(_canonical(pieces))
+        assert repr(stepfn._computed(pieces, 1.0).pieces) == want
+        assert repr(StepFunction(pieces[::-1], 1.0).pieces) == want
 
 
 def test_scale_by_a_numpy_scalar_keeps_python_complex_values():
