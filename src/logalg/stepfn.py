@@ -121,9 +121,6 @@ class SingularStep:
                 merged.append([width, height])
         object.__setattr__(self, "steps", tuple((w, h) for w, h in merged))
 
-    def total_width(self) -> float:
-        return sum(w for w, _ in self.steps)
-
     def approx_eq(self, other: "SingularStep") -> bool:
         """Equality up to a relative rounding of 1e-13 in the widths and heights.
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import DomainMismatchError, InvalidParameterError
 from .stepfn import StepFunction, _computed, _integral, _refine, dlog, lognorm, restrict, scale
@@ -27,6 +28,10 @@ class UnboundednessWitness:
     norm_f_over_N: float
 
     def verify(self) -> bool:
+        return self._valid
+
+    @cached_property
+    def _valid(self) -> bool:
         f = StepFunction([(0.0, self.eta, self.K)])
         ok_small = lognorm(f) < self.eps
         ok_large = lognorm(scale(f, 1.0 / self.N)) >= self.eps / 2
@@ -93,11 +98,14 @@ class ConvexSplit:
         joined = _computed([q for p in self.pieces for q in p.pieces], self.pieces[0].total_measure)
         target = lognorm(nf) / self.n
         return minimal and joined == nf and all(
-            abs((q := lognorm(p)) - target) < 1e-12 and q < self.eps for p in self.pieces)
+            abs(q - target) < 1e-12 and q < self.eps for q in self.piece_norms)
+
+    @cached_property
+    def piece_norms(self) -> tuple:
+        return tuple(lognorm(p) for p in self.pieces)
 
     def to_json(self) -> dict:
-        return {"n": self.n, "breakpoints": list(self.breakpoints),
-                "piece_norms": [lognorm(p) for p in self.pieces]}
+        return {"n": self.n, "breakpoints": list(self.breakpoints), "piece_norms": list(self.piece_norms)}
 
 
 def convex_split(f: StepFunction, eps: float) -> ConvexSplit:

@@ -193,6 +193,20 @@ def test_witness_that_fails_its_check_exits_1(capsys, monkeypatch, record, argv,
     assert err == f"error: invariant-check: {record} failed its own check\n"
 
 
+@pytest.mark.parametrize("argv, norms", [
+    # f and f / N, for to_json's "valid" and main's verify() together
+    (["witness", "nonbounded", "--eps", "1", "--N", "2"], lambda doc: 2),
+    # each of the n slices, for "piece_norms" and verify() together, and n f twice
+    (["witness", "nonconvex", "--input", step_json((0, 1, 1), total=1)], lambda doc: doc["n"] + 2),
+])
+def test_witness_records_compute_their_norms_once(capsys, monkeypatch, argv, norms):
+    calls = []
+    monkeypatch.setattr(witnesses, "lognorm", lambda f: calls.append(f) or lognorm(f))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0
+    assert len(calls) == norms(json.loads(out))
+
+
 def test_cauchy_verb(capsys):
     seq = []
     base = StepFunction.make([(0, 1, 3.0)], 1.0)

@@ -100,3 +100,82 @@ PLACES = [lambda x: x, lambda x: [x, 1.0, 2.0], lambda x: [1.0, x, 2.0],
 def test_non_finite_is_refused(x, place):
     with pytest.raises(InvariantError, match="result is not finite"):
         jsonio.dumps(PLACES[place](x))
+
+
+# ------------------------------------------------------ runs and record lists
+# A list of floats, and a list of dicts with the same keys and float values,
+# are each formatted as one run; everything else goes element by element.
+
+OVERFLOWS = [BIG, -BIG, float(np.nextafter(BIG, 0))]  # their 15-digit rounding is inf
+PLANTS = (st.integers(-10 ** 6, 10 ** 6).map(float)
+          | st.sampled_from([1e-05, -3e-05, 1e-07, 2e-300] + EDGES + [-x for x in EDGES] + OVERFLOWS))
+
+
+def _values(size: int, seed: int) -> list:
+    """size floats: random bit patterns (the finite ones) and normal draws of every scale."""
+    rng = np.random.default_rng(seed)
+    bits = rng.integers(0, 2 ** 64, size, dtype=np.uint64).view(np.float64)
+    normal = rng.normal(0, 10, size) * 10.0 ** rng.integers(-20, 20, size)
+    return np.where(np.isfinite(bits) & (rng.random(size) < 0.3), bits, normal).tolist()
+
+
+def _expected_run(xs) -> str:
+    """oracle(xs), but with a value's own repr where its rounding overflows."""
+    return "[" + ", ".join(repr(x) if math.isinf(_round15(x)) else oracle(x) for x in xs) + "]"
+
+
+runs = st.builds(_values, st.integers(1, 600), st.integers(0, 2 ** 32 - 1))
+plants = st.lists(st.tuples(st.integers(0, 599), PLANTS), max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs, plants)
+def test_a_float_run_matches_the_oracle(xs, planted):
+    for i, x in planted:
+        xs[i % len(xs)] = x
+    assert jsonio.dumps(xs) == jsonio.dumps(tuple(xs)) == _expected_run(xs)
+    assert jsonio.dumps({"rows": [xs, xs[::-1]]}) == \
+        '{"rows": [' + _expected_run(xs) + ", " + _expected_run(xs[::-1]) + "]}"
+
+
+KEYS = st.lists(st.sampled_from(["l", "r", "re", "im", "%", "%s", "%.15g", "a.b", "e", "e-3", "n", "nan", ", "]),
+                min_size=1, max_size=5, unique=True)
+SPOILS = {"reordered": lambda d: dict(reversed(list(d.items()))),
+          "extra key": lambda d: {**d, "extra": 1.5},
+          "int value": lambda d: {**d, next(iter(d)): 1},
+          "np.float64 value": lambda d: {k: np.float64(v) for k, v in d.items()}}
+
+
+@settings(max_examples=150, deadline=None)
+@given(KEYS, st.integers(1, 40), st.integers(0, 2 ** 32 - 1), plants,
+       st.sampled_from([None] + list(SPOILS)), st.integers(0, 39))
+def test_a_record_list_matches_the_oracle(keys, m, seed, planted, spoil, at):
+    values = _values(m * len(keys), seed)
+    for i, x in planted:
+        if x not in OVERFLOWS:  # the oracle cannot print these; the float runs above can
+            values[i % len(values)] = x
+    ds = [dict(zip(keys, values[j * len(keys):(j + 1) * len(keys)])) for j in range(m)]
+    if spoil is not None:
+        ds[at % m] = SPOILS[spoil](ds[at % m])
+    assert jsonio.dumps(ds) == oracle(ds)
+    assert jsonio.dumps({"pieces": ds, "n": m}) == oracle({"pieces": ds, "n": m})
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 600), st.integers(0, 2 ** 32 - 1),
+       st.lists(st.tuples(st.integers(0, 2399), st.sampled_from(NON_FINITE)), min_size=1, max_size=3),
+       st.booleans())
+def test_non_finite_in_a_run_names_the_first_in_document_order(size, seed, planted, as_records):
+    xs = _values(size, seed)
+    first = {}
+    for i, x in planted:
+        first.setdefault(i % size, x)
+        xs[i % size] = first[i % size]
+    doc = [{"l": a, "re": b} for a, b in zip(xs[::2], xs[1::2])] if as_records else xs
+    if as_records and size % 2:
+        first.pop(size - 1, None)  # the odd last value is in no record
+    if not first:
+        return
+    with pytest.raises(InvariantError) as exc:
+        jsonio.dumps(doc)
+    assert str(exc.value) == f"result is not finite: {first[min(first)]}"

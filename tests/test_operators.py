@@ -80,7 +80,7 @@ def test_singular_numbers_unitary():
     th = 0.7
     U = mat([[math.cos(th), -math.sin(th)], [math.sin(th), math.cos(th)]])
     s = singular_numbers(U)
-    assert s.total_width() == pytest.approx(1.0)
+    assert sum(w for w, _ in s.steps) == pytest.approx(1.0)
     assert all(h == pytest.approx(1.0, abs=1e-12) for _, h in s.steps)
 
 
