@@ -22,7 +22,8 @@ import numpy as np
 
 from .errors import InvalidParameterError, SingularityError, StructureError
 
-_CHUNK = 1 << 19           # quadrature points evaluated per numpy batch
+_CHUNK = 1 << 19           # quadrature points per partial sum: fixes the summation bits
+_BLOCK = 1 << 14           # quadrature points evaluated per numpy batch, sized for L2
 _BOUNDARY_GUARD = 1e-13    # distance to z = 1 below which evaluation refuses
 _GRADE = 6                 # order p of the graded nodes' clustering at z = 1
 _SWEEP_K = 40              # class_norm's last radius is at most 1 - 2^-40
@@ -310,8 +311,9 @@ def evaluate(f: HoloFunction, z: complex) -> complex:
     return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
 
-def _uniform_nodes(radius: float, offset: float, m: int, j: np.ndarray):
-    """Equal-weight nodes radius * exp(2 pi i (j + offset) / m); None weights."""
+def _uniform_nodes(radius: float, offset: float, m: int, lo: int, hi: int):
+    """Equal-weight nodes radius * exp(2 pi i (j + offset) / m), lo <= j < hi; None weights."""
+    j = np.arange(lo, hi, dtype=float)
     return radius * np.exp(2j * np.pi * (j + offset) / m), None
 
 
@@ -336,7 +338,7 @@ def _graded_grid(m: int):
 
     A sweep asks for the same few grids at radius after radius, and building
     one costs about as much as evaluating a small tree on it.  Only grids of
-    at most _CHUNK nodes are asked for whole, so two of them bound the memory.
+    at most _CHUNK nodes are cached, so two of them bound the memory.
     """
     nodes = _graded_unit(m, np.arange(m, dtype=float))
     for x in nodes:
@@ -344,10 +346,19 @@ def _graded_grid(m: int):
     return nodes
 
 
-def _graded_nodes(radius: float, m: int, j: np.ndarray):
-    # j is a run of distinct indices, so len(j) == m means the whole grid
-    unit, w = _graded_grid(m) if len(j) == m else _graded_unit(m, j)
+def _graded_nodes(radius: float, m: int, lo: int, hi: int):
+    """Graded nodes and weights of the indices lo <= j < hi at the given radius."""
+    if m <= _CHUNK:
+        unit, w = _graded_grid(m)
+        unit, w = unit[lo:hi], w[lo:hi]
+    else:
+        unit, w = _graded_unit(m, np.arange(lo, hi, dtype=float))
     return radius * unit, w
+
+
+def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """log(1 + e^x) elementwise, written into out."""
+    return np.logaddexp(0.0, x, out=out)
 
 
 def _weighted_sum(g: np.ndarray, w) -> float:
@@ -355,20 +366,31 @@ def _weighted_sum(g: np.ndarray, w) -> float:
 
 
 def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
-    """Circle mean of log(1 + |f|) over m nodes, chunked for memory.
+    """Circle mean of log(1 + |f|) over m nodes, in blocks that stay in cache.
 
-    nodes(m, j) gives the points and weights of the node indices j, a run of
-    consecutive integers (weights None: equal weights, summed and divided by m).
+    nodes(m, lo, hi) gives the points and weights of the node indices
+    lo <= j < hi (weights None: equal weights, summed and divided by m).
+    Nodes, log|f| and log(1 + |f|) are formed _BLOCK points at a time, each
+    block written into one buffer of _CHUNK points, and each full buffer is
+    summed once: the partial sums, and so the result, do not depend on _BLOCK.
     """
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
+    g = np.empty(min(m, _CHUNK))
     total = 0.0
     for start in range(0, m, _CHUNK):
-        z, w = nodes(m, np.arange(start, min(start + _CHUNK, m), dtype=float))
-        with np.errstate(all="ignore"):
-            logmag = f.logmod(z)
-        _refuse_overflow(logmag < np.inf, start)
-        total += _weighted_sum(np.logaddexp(0.0, logmag), w)
+        n = min(_CHUNK, m - start)
+        ws = []
+        for lo in range(0, n, _BLOCK):
+            hi = min(lo + _BLOCK, n)
+            z, w = nodes(m, start + lo, start + hi)
+            with np.errstate(all="ignore"):
+                logmag = f.logmod(z)
+            _refuse_overflow(logmag < np.inf, start + lo)
+            _log1p_exp(logmag, g[lo:hi])
+            ws.append(w)
+        w = ws[0] if len(ws) == 1 or ws[0] is None else np.concatenate(ws)
+        total += _weighted_sum(g[:n], w)
     return total / m
 
 

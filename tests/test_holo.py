@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import pathlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -422,9 +423,47 @@ def test_phi_sample_overflow_refused():
         phi_sample(Polynomial([1e308, 1e308]), 64)
 
 
+class LowerHalfOverflow(holo.HoloFunction):
+    """|f| overflows on the lower half circle and is 1 elsewhere."""
+
+    def logpolar(self, z):
+        return np.where(z.imag < 0, np.inf, 0.0), np.ones_like(z)
+
+
 def test_quadrature_overflow_refused():
     with pytest.raises(InvalidParameterError, match="grid point index"):
         boundary_norm(inv_singular(1e308), 64)
+    # the first overflowing node, theta just past pi, lies in a later block;
+    # the refusal names its index in the whole grid
+    m = 1 << 16
+    assert m // 2 >= holo._BLOCK
+    with pytest.raises(InvalidParameterError, match=f"grid point index {m // 2}$"):
+        boundary_norm(LowerHalfOverflow(), m)
+
+
+# -------------------------------------------------------- the quadrature kernel
+
+def one_shot_mean(f, nodes, m):
+    """The kernel's mean with each whole _CHUNK of nodes evaluated at once."""
+    total = 0.0
+    for start in range(0, m, holo._CHUNK):
+        z, w = nodes(m, start, min(start + holo._CHUNK, m))
+        with np.errstate(all="ignore"):
+            logmag = f.logmod(z)
+        total += holo._weighted_sum(holo._log1p_exp(logmag, np.empty(len(z))), w)
+    return total / m
+
+
+@pytest.mark.parametrize("m", [16, holo._BLOCK - 1, holo._BLOCK, holo._BLOCK + 1,
+                               (1 << 19) + 64, 3 * (1 << 19) + 5])
+@pytest.mark.parametrize("nodes", [partial(holo._uniform_nodes, 0.9, 0.5),
+                                   partial(holo._graded_nodes, 0.99)],
+                         ids=["uniform", "graded"])
+def test_blocked_kernel_equals_one_shot_chunks(m, nodes):
+    # blocks fix only how many points are evaluated at once: each _CHUNK is
+    # still summed whole, so the mean is the same to the last bit
+    f = inv_singular()
+    assert holo._mean_log1p_abs(f, nodes, m) == one_shot_mean(f, nodes, m)
 
 
 if __name__ == "__main__":
