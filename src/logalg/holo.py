@@ -357,8 +357,16 @@ def _graded_nodes(radius: float, m: int, lo: int, hi: int):
 
 
 def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """log(1 + e^x) elementwise, written into out."""
-    return np.logaddexp(0.0, x, out=out)
+    """log(1 + e^x) elementwise as max(x, 0) + log1p(e^-|x|), written into out.
+
+    It keeps logaddexp(0, x) at x = -inf, 0 and +inf, and elsewhere lies
+    within 2 ulp of it: numpy's vectorized exp and log1p round differently
+    from the scalar libm calls of logaddexp.
+    """
+    np.negative(np.abs(x, out=out), out=out)
+    np.log1p(np.exp(out, out=out), out=out)
+    out += np.maximum(x, 0.0)
+    return out
 
 
 def _weighted_sum(g: np.ndarray, w) -> float:

@@ -454,6 +454,30 @@ def one_shot_mean(f, nodes, m):
     return total / m
 
 
+SOFTPLUS_EDGES = [math.inf, -math.inf, 0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0]
+
+
+def softplus(x):
+    x = np.asarray(x, dtype=float)
+    return holo._log1p_exp(x, np.empty_like(x))
+
+
+def test_softplus_keeps_logaddexp_at_the_edges(rng):
+    # exact at infinities, zeros, subnormals and beyond exp's range
+    assert list(softplus(SOFTPLUS_EDGES)) == list(np.logaddexp(0.0, SOFTPLUS_EDGES))
+    # 3 ulp at most elsewhere: just above e^x = 2^-6 (x near -4.158) a 1-ulp
+    # rounding of e^x is 2 ulp of the result, which lies in the binade below
+    x = np.concatenate([rng.normal(size=100_000) * s for s in (1, 10, 100)])
+    np.testing.assert_array_max_ulp(softplus(x), np.logaddexp(0.0, x), maxulp=3)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False), st.sampled_from(SOFTPLUS_EDGES)),
+                min_size=1, max_size=64))
+def test_softplus_is_logaddexp_within_3_ulp(xs):
+    np.testing.assert_array_max_ulp(softplus(xs), np.logaddexp(0.0, xs), maxulp=3)
+
+
 @pytest.mark.parametrize("m", [16, holo._BLOCK - 1, holo._BLOCK, holo._BLOCK + 1,
                                (1 << 19) + 64, 3 * (1 << 19) + 5])
 @pytest.mark.parametrize("nodes", [partial(holo._uniform_nodes, 0.9, 0.5),
