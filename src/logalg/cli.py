@@ -17,6 +17,8 @@ import logalg
 from . import jsonio, stepfn, witnesses
 from .errors import InvalidParameterError, InvariantError, LogAlgError, MalformedInputError
 
+_SWEEP_K_MAX = 53  # nev-sweep's last radius 1 - 2^-k: beyond k = 53 it rounds to 1
+
 
 def _load_json(source: str):
     try:
@@ -53,6 +55,9 @@ def _step_list(obj) -> list:
 def _sweep(args, f):
     if args.k_max < 1:
         raise InvalidParameterError("k-max must be a positive integer")
+    if args.k_max > _SWEEP_K_MAX:
+        raise InvalidParameterError(
+            f"k-max must be at most {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
     rows = [(r, logalg.holo.radial_mean(f, r, args.m))
             for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
     if args.format == "json":

@@ -27,7 +27,7 @@ _BLOCK = 1 << 14           # quadrature points evaluated per numpy batch, sized 
 _BOUNDARY_GUARD = 1e-13    # distance to z = 1 below which evaluation refuses
 _GRADE = 6                 # order p of the graded nodes' clustering at z = 1
 _SWEEP_K = 40              # class_norm's last radius is at most 1 - 2^-40
-_SWEEP_M_MAX = 1 << 22     # nodes of one radial mean in class_norm at most
+_SWEEP_M_MAX = 1 << 22     # nodes of one circle mean at most
 
 
 class HoloFunction:
@@ -359,9 +359,11 @@ def _graded_nodes(radius: float, m: int, lo: int, hi: int):
 def _log1p_exp(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     """log(1 + e^x) elementwise as max(x, 0) + log1p(e^-|x|), written into out.
 
-    It keeps logaddexp(0, x) at x = -inf, 0 and +inf, and elsewhere lies
-    within 2 ulp of it: numpy's vectorized exp and log1p round differently
-    from the scalar libm calls of logaddexp.
+    It keeps logaddexp(0, x) at x = +-inf, +-0, subnormals and beyond exp's
+    range, and elsewhere lies within 3 ulp of it: numpy's vectorized exp and
+    log1p round differently from the scalar libm calls of logaddexp, and
+    where e^x is just above a power of two that its result is just below,
+    one ulp of e^x is two of the result.
     """
     np.negative(np.abs(x, out=out), out=out)
     np.log1p(np.exp(out, out=out), out=out)
@@ -378,12 +380,16 @@ def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
 
     nodes(m, lo, hi) gives the points and weights of the node indices
     lo <= j < hi (weights None: equal weights, summed and divided by m).
-    Nodes, log|f| and log(1 + |f|) are formed _BLOCK points at a time, each
-    block written into one buffer of _CHUNK points, and each full buffer is
-    summed once: the partial sums, and so the result, do not depend on _BLOCK.
+    Nodes, log|f| and log(1 + |f|) (by _log1p_exp) are formed _BLOCK points
+    at a time, each block written into one buffer of _CHUNK points, and each
+    full buffer is summed once: the partial sums, and so the result, do not
+    depend on _BLOCK.  Grids of more than _SWEEP_M_MAX nodes are refused
+    before anything is evaluated.
     """
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
+    if m > _SWEEP_M_MAX:
+        raise InvalidParameterError(f"grid size must be at most {_SWEEP_M_MAX}")
     g = np.empty(min(m, _CHUNK))
     total = 0.0
     for start in range(0, m, _CHUNK):

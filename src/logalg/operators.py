@@ -16,6 +16,8 @@ import numpy as np
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
 from .stepfn import SingularStep, StepFunction
 
+_MAX_EMBED_BYTES = 1 << 30  # embed_diagonal's n x n complex entries at most: n <= 8192
+
 
 @dataclass(frozen=True, eq=False)
 class MatrixOperator:
@@ -235,6 +237,10 @@ def embed_diagonal(f: StepFunction, n: int) -> MatrixOperator:
     """
     if n < 1:
         raise InvalidParameterError("n must be a positive integer")
+    if n * n * 16 > _MAX_EMBED_BYTES:
+        raise InvalidParameterError(
+            f"n x n complex entries must fit in {_MAX_EMBED_BYTES} bytes, so n <= "
+            f"{math.isqrt(_MAX_EMBED_BYTES // 16)}")
     if f.total_measure != 1:
         raise InvalidParameterError("embed_diagonal requires total_measure 1")
     counts = [round((r - l) * n) for l, r, _ in f.pieces]

@@ -14,6 +14,7 @@ from .errors import DomainMismatchError, InvalidParameterError
 from .stepfn import StepFunction, _computed, _integral, _refine, dlog, lognorm, restrict, scale
 
 _MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
+_MAX_N = 1 << 511       # unboundedness_witness's N at most: its K, about N^2, stays finite
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,9 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
 
     K doubles from 1 until 2 log(1 + K/N) > log(1 + K); eta is the midpoint
     of the admissible interval, so that eta log(1 + K) < eps while
-    eta log(1 + K/N) >= eps/2.
+    eta log(1 + K/N) >= eps/2.  That K is the least power of two above
+    about N^2, at most 2^1023 for N <= 2^511; from N near 2^511.5 on
+    it would double to inf, so larger N are refused.
     """
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
@@ -56,6 +59,8 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
         raise InvalidParameterError("eps must be finite")
     if N < 1:
         raise InvalidParameterError("N must be a positive integer")
+    if N > _MAX_N:
+        raise InvalidParameterError("N must be at most 2^511: K, about N^2, would overflow")
     K = 1.0
     while True:
         K *= 2.0

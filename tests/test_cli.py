@@ -9,8 +9,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from logalg import (InvalidParameterError, InvariantError, StepFunction, jsonio, lognorm,
-                    orlicz_fnorm, selftest, witnesses)
+from logalg import (InvalidParameterError, InvariantError, StepFunction, holo, jsonio,
+                    lognorm, orlicz_fnorm, selftest, witnesses)
 from logalg.cli import main
 from test_stepfn import step_functions
 
@@ -367,6 +367,46 @@ def test_deeply_nested_tree_is_malformed(capsys):
     assert err == "error: malformed-input: input nests too deeply\n"
 
 
+def test_embed_bound_is_n_8192(capsys):
+    # n = 8192 passes the bound on its 2^30 bytes of entries and is refused
+    # only for its piece, before anything is allocated
+    tenth = step_json((0, 0.1, 1), total=1)  # a multiple of neither 1/8192 nor 1/8193
+    status, _, err = run(capsys, "embed", "--input", tenth, "--n", "8192")
+    assert status == 2 and "is not a multiple of 1/8192" in err
+    status, out, err = run(capsys, "embed", "--input", tenth, "--n", "8193")
+    assert (status, out) == (2, "")
+    assert err == ("error: invalid-parameter: n x n complex entries must fit in "
+                   "1073741824 bytes, so n <= 8192\n")
+
+
+def count_evaluations(monkeypatch) -> list:
+    """The point counts of every evaluation of a singular inner atom, from now on."""
+    calls = []
+    for name in ("logmod", "logpolar"):
+        method = getattr(holo.SingularInner, name)
+        monkeypatch.setattr(holo.SingularInner, name,
+                            lambda self, z, method=method: calls.append(len(z)) or method(self, z))
+    return calls
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--k-max", "60", "--m", "1048576"], "k-max must be at most 53: beyond it 1 - 2^-k rounds to 1"),
+    (["--m", "1" + "0" * 32], "grid size must be at most 4194304"),
+])
+def test_nev_sweep_refuses_before_it_evaluates(capsys, monkeypatch, argv, message):
+    calls = count_evaluations(monkeypatch)
+    status, out, err = run(capsys, "nev-sweep", "--input", '{"op": "singular", "s": 1}', *argv)
+    assert (status, out, err) == (2, "", f"error: invalid-parameter: {message}\n")
+    assert calls == []
+
+
+def test_nev_sweep_reaches_k_53(capsys):
+    code, out, _ = run(capsys, "nev-sweep", "--input", '{"op": "poly", "coeffs": [{"re": 1}]}',
+                       "--k-max", "53", "--m", "16")
+    assert code == 0
+    assert out.splitlines()[-1] == f"{1 - 2.0 ** -53:.15g},{math.log(2):.15g}"
+
+
 def test_embed_too_large_refused(capsys):
     # the 10^8 x 10^8 request is refused before anything is allocated
     payload = json.dumps({"total_measure": 1.0, "pieces": []})
@@ -417,6 +457,11 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["nev-eval", "--input", '{"op": "foo"}'], "structure: unknown expression op 'foo'"),
     (["split", "--input", OVERFLOWING, "--K", "1"], "invalid-parameter: value overflows"),
     (["project", "--input", OVERFLOWING, "--a", "1"], "invalid-parameter: value overflows"),
+    (["witness", "nonbounded", "--N", BIG], "invalid-parameter: N must be at most 2^511"),
+    (["embed", "--input", '{"total_measure": 1, "pieces": []}', "--n", "1" + "0" * 21],
+     "invalid-parameter: n x n complex entries must fit"),
+    (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "60"],
+     "invalid-parameter: k-max must be at most 53"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

@@ -39,6 +39,16 @@ def test_unboundedness_grid():
             assert w.norm_f_over_N == pytest.approx(w.eta * math.log1p(w.K / N))
 
 
+def test_unboundedness_refuses_an_N_whose_K_overflows():
+    # K is the least power of two above about N^2: 2^1023 at N = 2^511, and
+    # from N near 2^511.5 on it would double to inf and never pass its test
+    w = unboundedness_witness(1.0, 2 ** 511)
+    assert w.K == 2.0 ** 1023 and w.verify()
+    for N in (2 ** 511 + 1, 3 * 2 ** 510, 2 ** 512, 10 ** 400):
+        with pytest.raises(InvalidParameterError, match=r"N must be at most 2\^511"):
+            unboundedness_witness(1.0, N)
+
+
 def test_unboundedness_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         unboundedness_witness(0.0, 2)
