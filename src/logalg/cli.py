@@ -53,11 +53,9 @@ def _step_list(obj) -> list:
 
 
 def _sweep(args, f):
-    if args.k_max < 1:
-        raise InvalidParameterError("k-max must be a positive integer")
-    if args.k_max > _SWEEP_K_MAX:
+    if not 1 <= args.k_max <= _SWEEP_K_MAX:
         raise InvalidParameterError(
-            f"k-max must be at most {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
+            f"k-max must be from 1 to {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
     rows = [(r, logalg.holo.radial_mean(f, r, args.m))
             for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
     if args.format == "json":

@@ -390,7 +390,8 @@ def count_evaluations(monkeypatch) -> list:
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["--k-max", "60", "--m", "1048576"], "k-max must be at most 53: beyond it 1 - 2^-k rounds to 1"),
+    (["--k-max", "60", "--m", "1048576"],
+     "k-max must be from 1 to 53: beyond it 1 - 2^-k rounds to 1"),
     (["--m", "1" + "0" * 32], "grid size must be at most 4194304"),
 ])
 def test_nev_sweep_refuses_before_it_evaluates(capsys, monkeypatch, argv, message):
@@ -461,7 +462,7 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["embed", "--input", '{"total_measure": 1, "pieces": []}', "--n", "1" + "0" * 21],
      "invalid-parameter: n x n complex entries must fit"),
     (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "60"],
-     "invalid-parameter: k-max must be at most 53"),
+     "invalid-parameter: k-max must be from 1 to 53"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)
