@@ -461,8 +461,6 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["witness", "nonbounded", "--N", BIG], "invalid-parameter: N must be at most 2^511"),
     (["embed", "--input", '{"total_measure": 1, "pieces": []}', "--n", "1" + "0" * 21],
      "invalid-parameter: n x n complex entries must fit"),
-    (["nev-sweep", "--input", '{"op": "singular", "s": 1}', "--k-max", "60"],
-     "invalid-parameter: k-max must be from 1 to 53"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

@@ -454,6 +454,18 @@ def one_shot_mean(f, nodes, m):
     return total / m
 
 
+@pytest.mark.parametrize("m", [16, holo._BLOCK - 1, holo._BLOCK, holo._BLOCK + 1,
+                               (1 << 19) + 64, 3 * (1 << 19) + 5])
+@pytest.mark.parametrize("nodes", [partial(holo._uniform_nodes, 0.9, 0.5),
+                                   partial(holo._graded_nodes, 0.99)],
+                         ids=["uniform", "graded"])
+def test_blocked_kernel_equals_one_shot_chunks(m, nodes):
+    # blocks fix only how many points are evaluated at once: each _CHUNK is
+    # still summed whole, so the mean is the same to the last bit
+    f = inv_singular()
+    assert holo._mean_log1p_abs(f, nodes, m) == one_shot_mean(f, nodes, m)
+
+
 SOFTPLUS_EDGES = [math.inf, -math.inf, 0.0, -0.0, 1e-320, -1e-320, 800.0, -800.0]
 
 
@@ -476,18 +488,6 @@ def test_softplus_keeps_logaddexp_at_the_edges(rng):
                 min_size=1, max_size=64))
 def test_softplus_is_logaddexp_within_3_ulp(xs):
     np.testing.assert_array_max_ulp(softplus(xs), np.logaddexp(0.0, xs), maxulp=3)
-
-
-@pytest.mark.parametrize("m", [16, holo._BLOCK - 1, holo._BLOCK, holo._BLOCK + 1,
-                               (1 << 19) + 64, 3 * (1 << 19) + 5])
-@pytest.mark.parametrize("nodes", [partial(holo._uniform_nodes, 0.9, 0.5),
-                                   partial(holo._graded_nodes, 0.99)],
-                         ids=["uniform", "graded"])
-def test_blocked_kernel_equals_one_shot_chunks(m, nodes):
-    # blocks fix only how many points are evaluated at once: each _CHUNK is
-    # still summed whole, so the mean is the same to the last bit
-    f = inv_singular()
-    assert holo._mean_log1p_abs(f, nodes, m) == one_shot_mean(f, nodes, m)
 
 
 if __name__ == "__main__":
