@@ -16,9 +16,9 @@ from .errors import (DomainMismatchError, InvalidParameterError, InvariantError,
                      StructureError)
 
 _EXPORTS = {
-    "holo": "Add Binary BlaschkeFactor CircleSample Div HoloFunction Mul Polynomial SafeRational "
-            "SingularInner Sub boundary_norm class_norm constant d_N evaluate phi_sample "
-            "radial_mean smirnov_defect",
+    "holo": "Add Binary BlaschkeFactor Div HoloFunction Mul Polynomial SafeRational "
+            "SingularInner Sub boundary_norm class_norm constant d_N evaluate radial_mean "
+            "smirnov_defect sweep_radii",
     "operators": "MatrixOperator SpectralSplit dlog_op dtau embed_diagonal fk_determinant "
                  "lognorm_op measure_above singular_numbers spectral_project split_at",
     "stepfn": "SingularStep StepFunction approximate_in_l1 decreasing_rearrangement dlog l1norm "

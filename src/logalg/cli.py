@@ -17,8 +17,6 @@ import logalg
 from . import jsonio, stepfn, witnesses
 from .errors import InvalidParameterError, InvariantError, LogAlgError, MalformedInputError
 
-_SWEEP_K_MAX = 53  # nev-sweep's last radius 1 - 2^-k: beyond k = 53 it rounds to 1
-
 
 def _load_json(source: str):
     try:
@@ -53,11 +51,11 @@ def _step_list(obj) -> list:
 
 
 def _sweep(args, f):
-    if not 1 <= args.k_max <= _SWEEP_K_MAX:
-        raise InvalidParameterError(
-            f"k-max must be from 1 to {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
-    rows = [(r, logalg.holo.radial_mean(f, r, args.m))
-            for r in (1.0 - 2.0 ** (-k) for k in range(1, args.k_max + 1))]
+    radii = logalg.holo.sweep_radii(args.k_max)
+    # the largest radius first: nearest the singular atoms and the largest values,
+    # it refuses an unevaluable tree before the other rows take their time
+    means = [logalg.holo.radial_mean(f, r, args.m) for r in reversed(radii)]
+    rows = list(zip(radii, reversed(means)))
     if args.format == "json":
         return {"sweep": [{"r": r, "mean": v} for r, v in rows]}
     return "\n".join(["r,radial_mean"] + [f"{r:.15g},{v:.15g}" for r, v in rows])
@@ -66,10 +64,9 @@ def _sweep(args, f):
 def _witness(args, f=None):
     """The separation document, or the record of the other two kinds."""
     if args.kind == "separation":
-        if args.k < 1:
-            raise InvalidParameterError("k must be a positive integer")
-        return {"sequence": [witnesses.separation_sequence(k).to_json()
-                             for k in range(1, args.k + 1)]}
+        last = witnesses.separation_sequence(args.k)  # refuses a k out of range before any work
+        return {"sequence": [witnesses.separation_sequence(k).to_json() for k in range(1, args.k)]
+                + [last.to_json()]}
     if args.kind == "nonbounded":
         return witnesses.unboundedness_witness(args.eps, args.N)
     if f is None:

@@ -26,7 +26,8 @@ _CHUNK = 1 << 19           # quadrature points per partial sum: fixes the summat
 _BLOCK = 1 << 14           # quadrature points evaluated per numpy batch, sized for L2
 _BOUNDARY_GUARD = 1e-13    # distance to z = 1 below which evaluation refuses
 _GRADE = 6                 # order p of the graded nodes' clustering at z = 1
-_SWEEP_K = 40              # class_norm's last radius is at most 1 - 2^-40
+_SWEEP_K = 40              # radii class_norm sweeps at most
+_SWEEP_K_MAX = 53          # radii any sweep takes at most: the next one rounds to 1
 _SWEEP_M_MAX = 1 << 22     # nodes of one circle mean at most
 
 
@@ -425,6 +426,18 @@ def _settled_mean(f: HoloFunction, nodes, m: int, m_max: int, tol: float):
         v = v2
 
 
+# the half-step offset grid theta_j = 2 pi (j + 1/2) / m on |z| = 1, which never meets z = 1
+_boundary_nodes = partial(_uniform_nodes, 1.0, 0.5)
+
+
+def sweep_radii(k_max: int) -> tuple:
+    """The radii r_k = 1 - 2^-k, k = 1..k_max, along which sweeps approach the circle."""
+    if not 1 <= k_max <= _SWEEP_K_MAX:
+        raise InvalidParameterError(
+            f"k-max must be from 1 to {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
+    return tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
+
+
 def radial_mean(f: HoloFunction, r: float, m: int) -> float:
     """Periodic trapezoid approximation of the circle mean of log(1 + |f|) at radius r."""
     if not 0 <= r < 1:
@@ -434,7 +447,7 @@ def radial_mean(f: HoloFunction, r: float, m: int) -> float:
 
 def boundary_norm(f: HoloFunction, m: int) -> float:
     """Circle mean of log(1 + |f|) on the half-step offset boundary grid."""
-    return _mean_log1p_abs(f, partial(_uniform_nodes, 1.0, 0.5), m)
+    return _mean_log1p_abs(f, _boundary_nodes, m)
 
 
 def d_N(f: HoloFunction, g: HoloFunction, m: int) -> float:
@@ -466,7 +479,7 @@ class ClassNormResult:
 
 
 def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
-    """Supremum over r < 1 of the radial means, along r_k = 1 - 2^-k, k <= 40.
+    """Supremum over r < 1 of the radial means, along the sweep_radii r_k, k <= 40.
 
     Each radial mean uses graded nodes theta = 2 pi v^p / (v^p + (1 - v)^p),
     v = (j + 1/2) / m, p = 6, which cluster at z = 1 where every singular
@@ -487,23 +500,21 @@ def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
     k_max = max(2, min(_SWEEP_K, math.ceil(math.log2(min(tol, 1.0))) + 51))
-    radii, means, grids, points = [], [], [], 0
+    radii, means, grids, points = sweep_radii(k_max), [], [], 0
     m, stop = 64, "radius-budget"
-    for k in range(1, k_max + 1):
-        r = 1.0 - 2.0 ** (-k)
+    for r in radii:
         v, grid, delta, n = _settled_mean(f, partial(_graded_nodes, r), m, _SWEEP_M_MAX, tol)
-        radii.append(r)
         means.append(v)
         grids.append(grid)
         points += n
         if not delta < tol / 4:
             stop = "grid-budget"
             break
-        if k > 1 and abs(v - means[-2]) < tol * (math.sqrt(2) - 1):
+        if len(means) > 1 and abs(v - means[-2]) < tol * (math.sqrt(2) - 1):
             stop = "converged"
             break
         m = grid // 2
-    return ClassNormResult(max(means), tuple(radii), tuple(means), tuple(grids),
+    return ClassNormResult(max(means), radii[:len(means)], tuple(means), tuple(grids),
                            delta, points, stop)
 
 
@@ -538,23 +549,8 @@ def smirnov_defect(f: HoloFunction, tol: float = 1e-4) -> SmirnovResult:
     """
     if not tol > 0:
         raise InvalidParameterError("tol must be positive")
-    b, *_ = _settled_mean(f, partial(_uniform_nodes, 1.0, 0.5), 1024, 1 << 20, tol)
+    b, *_ = _settled_mean(f, _boundary_nodes, 1024, 1 << 20, tol)
     cn = class_norm(f, tol)
     defect = max(cn.estimate - b, -tol)
     return SmirnovResult(defect, defect <= tol, b, cn)
 
-
-@dataclass(frozen=True)
-class CircleSample:
-    """Boundary values on the half-step offset grid theta_j = 2 pi (j + 1/2) / m."""
-
-    m: int
-    values: tuple
-
-
-def phi_sample(f: HoloFunction, m: int) -> CircleSample:
-    if m < 1:
-        raise InvalidParameterError("grid size must be positive")
-    j = np.arange(m, dtype=float)
-    vals = _values(f, np.exp(2j * np.pi * (j + 0.5) / m))
-    return CircleSample(m, tuple(complex(v) for v in vals))

@@ -15,6 +15,7 @@ from .stepfn import StepFunction, _computed, _integral, _refine, dlog, lognorm, 
 
 _MAX_SLICES = 1 << 22   # convex_split slices at most: about 1 GB at some 250 bytes each
 _MAX_N = 1 << 511       # unboundedness_witness's N at most: its K, about N^2, stays finite
+_MAX_SEPARATION_K = 1 << 16  # separation k at most: 8 MB at some 125 bytes of JSON a term
 
 
 @dataclass(frozen=True)
@@ -187,6 +188,8 @@ class SeparationSequence:
 def separation_sequence(k: int) -> SeparationSequence:
     if k < 1:
         raise InvalidParameterError("k must be a positive integer")
+    if k > _MAX_SEPARATION_K:
+        raise InvalidParameterError(f"k must be at most {_MAX_SEPARATION_K}")
     correction = math.log1p(math.exp(-float(k) ** 2)) / k
     return SeparationSequence(
         k=k,

@@ -1,5 +1,6 @@
 import hashlib
 import io
+import itertools
 import json
 import math
 import sys
@@ -11,7 +12,7 @@ from hypothesis import strategies as st
 
 from logalg import (InvalidParameterError, InvariantError, StepFunction, holo, jsonio,
                     lognorm, orlicz_fnorm, selftest, witnesses)
-from logalg.cli import main
+from logalg.cli import VERBS, main
 from test_stepfn import step_functions
 
 E = math.e
@@ -406,6 +407,83 @@ def test_nev_sweep_reaches_k_53(capsys):
                        "--k-max", "53", "--m", "16")
     assert code == 0
     assert out.splitlines()[-1] == f"{1 - 2.0 ** -53:.15g},{math.log(2):.15g}"
+
+
+def test_nev_sweep_refuses_an_unevaluable_radius_before_any_row(capsys, monkeypatch):
+    # 1 - 2^-44 lies within the guard of S_1's singularity at z = 1, and the
+    # 43 rows below it are not evaluated first
+    calls = count_evaluations(monkeypatch)
+    status, out, err = run(capsys, "nev-sweep", "--input", '{"op": "singular", "s": 1}',
+                           "--k-max", "44", "--m", "4096")
+    assert (status, out) == (2, "")
+    assert err.startswith("error: evaluation-at-singularity: ")
+    assert len(err.splitlines()) == 1
+    assert sum(calls) <= 4096
+
+
+class Sentinel(Exception):
+    """Raised by a stub that has been called more often than a refusal allows."""
+
+
+def stub_after(monkeypatch, owner, name, calls=3):
+    """Replace owner.name by a wrapper that raises Sentinel on its call past calls."""
+    fn, count = getattr(owner, name), []
+
+    def stub(*args, **kw):
+        count.append(1)
+        if len(count) > calls:
+            raise Sentinel(f"{name} called {len(count)} times")
+        return fn(*args, **kw)
+    monkeypatch.setattr(owner, name, stub)
+
+
+@pytest.mark.parametrize("argv, owner, name, message", [
+    (["witness", "separation", "--k", "100000"], witnesses, "separation_sequence",
+     "k must be at most 65536"),
+    (["witness", "separation", "--k", str(2 ** 31)], witnesses, "separation_sequence",
+     "k must be at most 65536"),
+    (["selftest", "--trials", str(2 ** 31)], selftest, "random_step",
+     "trials must be at most 1048576"),
+])
+def test_loop_counts_are_refused_before_any_work(capsys, monkeypatch, argv, owner, name, message):
+    stub_after(monkeypatch, owner, name)
+    status, out, err = run(capsys, *argv)
+    assert (status, out, err) == (2, "", f"error: invalid-parameter: {message}\n")
+
+
+STEP_1 = step_json((0, 0.5, 2), total=1)
+MATRIX_2 = '{"n": 2, "re": [[1, 2], [0, 1]]}'
+BLASCHKE = '{"op": "blaschke", "a": {"re": 0.5}}'
+# small valid arguments of each verb with an int or float flag, one list per witness kind
+FUZZ_BASES = {
+    "project": [["--input", MATRIX_2, "--a=1"]],
+    "split": [["--input", MATRIX_2]],
+    "embed": [["--input", STEP_1]],
+    "nev-eval": [["--input", BLASCHKE]],
+    "nev-sweep": [["--input", BLASCHKE, "--k-max=2", "--m=64"]],
+    "nev-smirnov": [["--input", BLASCHKE]],
+    "witness": [["nonbounded"], ["nonconvex", "--input", STEP_1], ["separation", "--k=2"]],
+    "cauchy": [["--input", f"[{STEP_1}, {STEP_1}]"]],
+    "selftest": [["--trials=1"]],
+}
+INT_VALUES = ["0", "-1", str(2 ** 31), str(2 ** 63), "1" + "0" * 400]
+FLOAT_VALUES = INT_VALUES + ["nan", "inf", "-inf", "5e-324", "1.8e308"]
+
+
+def test_every_number_flag_takes_extreme_values(capsys):
+    flags = {verb: {flag: kw["type"] for flag, kw in arguments if kw.get("type") in (int, float)}
+             for verb, _, _, arguments, _ in VERBS}
+    assert set(FUZZ_BASES) == {verb for verb, numbers in flags.items() if numbers}
+    for verb, bases in FUZZ_BASES.items():
+        for base, (flag, kind) in itertools.product(bases, flags[verb].items()):
+            for value in INT_VALUES if kind is int else FLOAT_VALUES:
+                # --flag=value, so that argparse reads "-inf" and "-1" as values
+                argv = [verb, *(a for a in base if not a.startswith(f"{flag}=")), f"{flag}={value}"]
+                status, out, err = run(capsys, *argv)
+                assert status in (0, 1, 2), argv
+                assert len(err.splitlines()) <= 1 and "Traceback" not in err, argv
+                if out and verb not in ("selftest", "nev-sweep"):
+                    strict_loads(out)
 
 
 def test_embed_too_large_refused(capsys):

@@ -2,6 +2,7 @@ import cmath
 import json
 import math
 import pathlib
+from fractions import Fraction
 from functools import partial
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from logalg import (Add, BlaschkeFactor, Div, InvalidParameterError, Mul,
                     Polynomial, SafeRational, SingularInner, StructureError,
                     Sub, boundary_norm, class_norm, constant, d_N, evaluate,
-                    phi_sample, radial_mean, smirnov_defect)
+                    radial_mean, smirnov_defect, sweep_radii)
 from logalg import holo
 from logalg.errors import LogAlgError, SingularityError
 from logalg.holo import from_json
@@ -394,33 +395,52 @@ def test_smirnov_detects_nonsmirnov():
     assert res.defect >= 0.5
 
 
-# ------------------------------------------------------------------- sampling
+# -------------------------------------------------- boundary values and radii
+
+def boundary_values(f, m):
+    """phi(f) = f*, the boundary values of f, on the m-point grid of boundary_norm."""
+    z, _ = holo._boundary_nodes(m, 0, m)
+    return holo._values(f, z)
+
 
 def test_phi_sample_constant_one():
-    s = phi_sample(constant(1), 32)
-    assert all(v == pytest.approx(1.0) for v in s.values)
+    assert np.allclose(boundary_values(constant(1), 32), 1.0, rtol=1e-6, atol=1e-12)
 
 
 def test_phi_sample_homomorphism():
     f = Polynomial([1, 2, 1j])
     g = BlaschkeFactor(0.3)
-    sf = phi_sample(f, 128).values
-    sg = phi_sample(g, 128).values
-    prod = phi_sample(Mul(f, g), 128).values
-    summ = phi_sample(Add(f, g), 128).values
-    assert max(abs(a * b - c) for a, b, c in zip(sf, sg, prod)) <= 1e-10
-    assert max(abs(a + b - c) for a, b, c in zip(sf, sg, summ)) <= 1e-10
+    sf, sg = boundary_values(f, 128), boundary_values(g, 128)
+    assert np.abs(sf * sg - boundary_values(Mul(f, g), 128)).max() <= 1e-10
+    assert np.abs(sf + sg - boundary_values(Add(f, g), 128)).max() <= 1e-10
 
 
 def test_phi_sample_offset_grid_avoids_singularity():
     # works even with a singular inner atom: the grid never hits z = 1
-    s = phi_sample(SingularInner(1.0), 64)
-    assert all(abs(abs(v) - 1.0) < 1e-12 for v in s.values)
+    assert np.all(np.abs(np.abs(boundary_values(SingularInner(1.0), 64)) - 1.0) < 1e-12)
 
 
 def test_phi_sample_overflow_refused():
     with pytest.raises(InvalidParameterError, match="overflows a double"):
-        phi_sample(Polynomial([1e308, 1e308]), 64)
+        boundary_values(Polynomial([1e308, 1e308]), 64)
+
+
+def test_sweep_radii_run_exactly_from_1_to_53():
+    for k_max in (1, 53):
+        radii = sweep_radii(k_max)
+        assert [Fraction(r) for r in radii] == [1 - Fraction(1, 2 ** k)
+                                               for k in range(1, k_max + 1)]
+    for k_max in (0, 54):
+        with pytest.raises(InvalidParameterError,
+                           match=r"^k-max must be from 1 to 53: beyond it 1 - 2\^-k rounds to 1$"):
+            sweep_radii(k_max)
+
+
+@pytest.mark.parametrize("f, tol", [(BlaschkeFactor(0.5), 1e-4), (inv_singular(), 1e-16),
+                                    (inv_singular(), 1e-6)])
+def test_class_norm_sweeps_a_prefix_of_the_radii(f, tol):
+    radii = class_norm(f, tol).radii
+    assert radii == sweep_radii(40)[:len(radii)]
 
 
 class LowerHalfOverflow(holo.HoloFunction):

@@ -21,7 +21,7 @@ NUMPY_FREE = [(argv, digest) for argv, digest in GOLDEN if argv[0] in NUMPY_FREE
 NUMPY = [(argv, digest) for argv, digest in GOLDEN if argv[0] not in NUMPY_FREE_VERBS]
 # what `from logalg import *` bound when the package imported every layer eagerly
 EXPORTS = [
-    "Add", "Binary", "BlaschkeFactor", "CauchyReport", "CircleSample", "ConvexSplit", "Div",
+    "Add", "Binary", "BlaschkeFactor", "CauchyReport", "ConvexSplit", "Div",
     "DomainMismatchError", "HoloFunction", "InvalidParameterError", "InvariantError",
     "LogAlgError", "MalformedInputError", "MatrixOperator", "Mul", "Polynomial",
     "SafeRational", "SeparationSequence", "SingularInner", "SingularStep", "SingularityError",
@@ -29,9 +29,9 @@ EXPORTS = [
     "approximate_in_l1", "boundary_norm", "cauchy_limit", "class_norm", "constant",
     "convex_split", "d_N", "decreasing_rearrangement", "dlog", "dlog_op", "dtau",
     "embed_diagonal", "errors", "evaluate", "fk_determinant", "holo", "l1norm", "lognorm",
-    "lognorm_op", "measure_above", "operators", "orlicz_fnorm", "phi_sample", "pointwise",
+    "lognorm_op", "measure_above", "operators", "orlicz_fnorm", "pointwise",
     "radial_mean", "restrict", "scale", "separation_sequence", "singular_numbers",
-    "smirnov_defect", "spectral_project", "split_at", "stepfn", "truncate",
+    "smirnov_defect", "spectral_project", "split_at", "stepfn", "sweep_radii", "truncate",
     "unboundedness_witness", "witnesses",
 ]
 # constructor calls of the value types on invalid data, and the error each raises
@@ -71,13 +71,14 @@ OUT_OF_RANGE = {
     "cauchy at tol 0": (lambda: logalg.cauchy_limit([STEP, STEP], 0), IPE, "tol must"),
     "class norm at tol 0": (lambda: logalg.class_norm(ONE(), 0), IPE, "tol must"),
     "smirnov at tol 0": (lambda: logalg.smirnov_defect(ONE(), 0), IPE, "tol must"),
-    "phi sample of 0 points": (lambda: logalg.phi_sample(ONE(), 0), IPE, "grid size must"),
     "measure above 0": (lambda: logalg.measure_above(logalg.MatrixOperator([[1.0]]), 0), IPE,
                         "delta must"),
     "embed at n 0": (lambda: logalg.embed_diagonal(STEP, 0), IPE, "n must"),
     "embed of measure 2": (lambda: logalg.embed_diagonal(logalg.StepFunction.zero(2.0), 1), IPE,
                            "requires total_measure 1"),
     "separation at k 0": (lambda: logalg.separation_sequence(0), IPE, "k must"),
+    "separation past 2^16": (lambda: logalg.separation_sequence(2 ** 16 + 1), IPE,
+                             "k must be at most 65536"),
     "binary pow": (lambda: logalg.Binary("pow", ONE(), ONE()), StructureError,
                    "unknown expression op 'pow'"),
 }

@@ -235,6 +235,7 @@ def test_separation_monotone_trends():
 def test_separation_no_overflow_at_large_k():
     s = separation_sequence(50)
     assert s.lognorm_value == pytest.approx(50.0)
+    assert separation_sequence(2 ** 16).lognorm_value == 2 ** 16  # the largest k allowed
 
 
 # --------------------------------------------------------------------- cauchy
