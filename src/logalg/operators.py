@@ -211,8 +211,8 @@ def spectral_project(T: MatrixOperator, a: float, b: float = math.inf) -> Matrix
 
 def split_at(T: MatrixOperator, K: float) -> SpectralSplit:
     """Split T = T E_{|T|}([0, K]) + T E_{|T|}((K, inf))."""
-    if not K > 0:
-        raise InvalidParameterError("cutoff K must be positive")
+    if not 0 < K < math.inf:
+        raise InvalidParameterError("cutoff K must be positive and finite")
     tail = T.entries @ _right_singular_projector(T, lambda s: s > K)
     return SpectralSplit(
         bounded_part=MatrixOperator(T.entries - tail),

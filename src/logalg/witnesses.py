@@ -52,7 +52,8 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
     of the admissible interval, so that eta log(1 + K) < eps while
     eta log(1 + K/N) >= eps/2.  That K is the least power of two above
     about N^2, at most 2^1023 for N <= 2^511; from N near 2^511.5 on
-    it would double to inf, so larger N are refused.
+    it would double to inf, so larger N are refused.  So is an eps so small
+    (subnormal) that eta's rounding breaks either inequality.
     """
     if not eps > 0:
         raise InvalidParameterError("eps must be positive")
@@ -70,11 +71,11 @@ def unboundedness_witness(eps: float, N: int) -> UnboundednessWitness:
     lo = eps / (2.0 * math.log1p(K / N))
     hi = eps / math.log1p(K)
     eta = 0.5 * (lo + hi)
-    return UnboundednessWitness(
-        eps=eps, N=N, K=K, eta=eta,
-        norm_f=eta * math.log1p(K),
-        norm_f_over_N=eta * math.log1p(K / N),
-    )
+    norm_f, norm_f_over_N = eta * math.log1p(K), eta * math.log1p(K / N)
+    if not (0.0 < norm_f < eps and norm_f_over_N >= eps / 2):
+        raise InvalidParameterError(
+            f"eps {eps!r} is too small: eta rounds to {eta!r}, so the witness's norms miss (0, eps) or [eps/2, inf)")
+    return UnboundednessWitness(eps=eps, N=N, K=K, eta=eta, norm_f=norm_f, norm_f_over_N=norm_f_over_N)
 
 
 def _too_coarse(parts, n: int, eps: float) -> bool:

@@ -6,6 +6,7 @@ import math
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -539,6 +540,9 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["witness", "nonbounded", "--N", BIG], "invalid-parameter: N must be at most 2^511"),
     (["embed", "--input", '{"total_measure": 1, "pieces": []}', "--n", "1" + "0" * 21],
      "invalid-parameter: n x n complex entries must fit"),
+    (["witness", "nonbounded", "--eps", "5e-324"], "invalid-parameter: eps 5e-324 is too small"),
+    (["split", "--input", MATRIX_2, "--K", "inf"], "invalid-parameter: cutoff K must be positive and finite"),
+    (["split", "--input", MATRIX_2, "--K=1e400"], "invalid-parameter: cutoff K must be positive and finite"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)
@@ -641,6 +645,10 @@ GOLD_Q = json.dumps({"total_measure": 1, "pieces": [
 GOLD_SEQ = json.dumps([{"total_measure": 1, "pieces": [
     {"l": 0, "r": 0.5, "re": min(math.pi, 2.0 ** k)}, {"l": 0.5, "r": 1, "re": -1 / 3}]}
     for k in range(-2, 4)])
+# a seeded 128 x 128 integer matrix (114 kB, within one argv string of a
+# subprocess), whose projection of 2 x 16,384 floats jsonio prints vectorized
+_M128 = np.random.default_rng(28).integers(-9, 10, (2, 128, 128))
+GOLD_M128 = json.dumps({"n": 128, "re": _M128[0].tolist(), "im": _M128[1].tolist()})
 
 
 # GOLD_A: sigma = |3 + 4i| = 5 lies above the rank noise floor 1.5e15 * 3 * eps ~ 1.0,
@@ -718,6 +726,9 @@ GOLDEN = [
      "789c4806d6e62e4e3632a067a7f17bbb6fcb01eddb33b20035a1cb5e1b9ae15a"),
     (["cauchy", "--input", GOLD_SEQ],
      "ba541181765d32f0f11b2ead362b644d1c4a776bf95aabf07bcd703d09248cdc"),
+    # recorded with the %-format emitter, before the vectorized path existed
+    (["project", "--input", GOLD_M128, "--a", "60"],
+     "0e78b0610336e26af5870802b7a87e253bb71913db5d1441e9383a9faedb7388"),
 ]
 
 

@@ -247,6 +247,12 @@ def test_split_invalid_cutoff():
         split_at(diag(1, 2), 0.0)
 
 
+@pytest.mark.parametrize("K", [math.inf, math.nan])
+def test_split_refuses_a_cutoff_that_is_not_finite(K):
+    with pytest.raises(InvalidParameterError, match="cutoff K must be positive and finite"):
+        split_at(diag(1, 2), K)
+
+
 # ---------------------------------------------------------------- determinant
 
 def test_fk_determinant_identity():

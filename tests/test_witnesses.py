@@ -49,6 +49,23 @@ def test_unboundedness_refuses_an_N_whose_K_overflows():
             unboundedness_witness(1.0, N)
 
 
+def test_unboundedness_refuses_an_eps_whose_eta_rounds_past_the_check():
+    # a subnormal eps leaves eta too few bits: at 5e-324 it rounds up to eps itself,
+    # so lognorm(f) < eps fails; every eps that is accepted passes its own check
+    with pytest.raises(InvalidParameterError, match="eps 5e-324 is too small"):
+        unboundedness_witness(5e-324, 2)
+    refused = 0
+    for eps in [5e-324 * j for j in range(1, 64)] + [1e-320, 1e-310, 2.2250738585072014e-308, 1e-300]:
+        for N in (1, 2, 3, 10, 2 ** 40, 2 ** 500):
+            try:
+                w = unboundedness_witness(eps, N)
+            except InvalidParameterError:
+                refused += 1
+                continue
+            assert w.verify(), (eps, N)
+    assert 0 < refused < 69 * 6
+
+
 def test_unboundedness_invalid_parameters():
     with pytest.raises(InvalidParameterError):
         unboundedness_witness(0.0, 2)
