@@ -21,6 +21,7 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .errors import InvalidParameterError, SingularityError, StructureError
+from . import jsonio
 
 _CHUNK = 1 << 19           # quadrature points per partial sum: fixes the summation bits
 _BLOCK = 1 << 14           # quadrature points evaluated per numpy batch, sized for L2
@@ -268,7 +269,7 @@ class SafeRational(Binary):
 
 def from_json(obj: dict) -> HoloFunction:
     """Rebuild an expression tree from its JSON form."""
-    number = lambda c: complex(c["re"], c.get("im", 0.0))  # noqa: E731
+    number = lambda c: complex(jsonio.number(c["re"]), jsonio.number(c.get("im", 0.0)))  # noqa: E731
     try:
         op = obj["op"]
         if op == "poly":
@@ -278,7 +279,7 @@ def from_json(obj: dict) -> HoloFunction:
         if op == "blaschke":
             return BlaschkeFactor(number(obj["a"]))
         if op == "singular":
-            return SingularInner(obj["s"])
+            return SingularInner(jsonio.number(obj["s"]))
         if op in _BINARY_OPS:
             return Binary(op, from_json(obj["lhs"]), from_json(obj["rhs"]))
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -312,10 +313,24 @@ def evaluate(f: HoloFunction, z: complex) -> complex:
     return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
 
+@lru_cache(maxsize=4)
+def _turns(m: int, offset: float):
+    """t[b] = exp(2 pi i (b + offset) / m) for b < min(m, _BLOCK), read-only."""
+    t = np.exp(2j * np.pi * (np.arange(min(m, _BLOCK), dtype=float) + offset) / m)
+    t.setflags(write=False)
+    return t
+
+
 def _uniform_nodes(radius: float, offset: float, m: int, lo: int, hi: int):
-    """Equal-weight nodes radius * exp(2 pi i (j + offset) / m), lo <= j < hi; None weights."""
-    j = np.arange(lo, hi, dtype=float)
-    return radius * np.exp(2j * np.pi * (j + offset) / m), None
+    """Equal-weight nodes radius * exp(2 pi i (j + offset) / m), lo <= j < hi; None weights.
+
+    Node s + b, s a multiple of _BLOCK, is (radius e^{2 pi i s / m}) t[b]: radius * t[b] at s = 0.
+    """
+    t, z = _turns(m, offset), np.empty(hi - lo, dtype=complex)
+    for s in range(lo - lo % _BLOCK, hi, _BLOCK):
+        b0, b1 = max(lo - s, 0), min(hi - s, _BLOCK)
+        np.multiply(radius * np.exp(2j * np.pi * s / m), t[b0:b1], out=z[s + b0 - lo:s + b1 - lo])
+    return z, None
 
 
 def _graded_unit(m: int, j: np.ndarray):
@@ -384,9 +399,12 @@ def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
     Nodes, log|f| and log(1 + |f|) (by _log1p_exp) are formed _BLOCK points
     at a time, each block written into one buffer of _CHUNK points, and each
     full buffer is summed once: the partial sums, and so the result, do not
-    depend on _BLOCK.  Grids of more than _SWEEP_M_MAX nodes are refused
-    before anything is evaluated.
+    depend on _BLOCK.  A grid size that is not an int, or of more than
+    _SWEEP_M_MAX nodes, is refused before anything is evaluated.
     """
+    if not isinstance(m, (int, np.integer)):
+        raise InvalidParameterError(f"grid size must be an int, not {m!r}")
+    m = int(m)
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
     if m > _SWEEP_M_MAX:

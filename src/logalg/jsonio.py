@@ -23,6 +23,13 @@ _VECTOR_MIN = 2048  # floats from which _vector beats one %-format: it costs ~0.
 _BLOCK = 1 << 14    # floats per _vector call, so that its temporaries (~2 MB) stay in cache
 
 
+def number(x):
+    """x if it is a JSON number (an int or a float); TypeError for a bool, a string or other."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise TypeError(f"expected a number, not {x!r}")
+    return x
+
+
 def _float(x: float) -> str:
     text = f"{x:.15g}"
     if "e" not in text:

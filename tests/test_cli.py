@@ -543,6 +543,16 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["witness", "nonbounded", "--eps", "5e-324"], "invalid-parameter: eps 5e-324 is too small"),
     (["split", "--input", MATRIX_2, "--K", "inf"], "invalid-parameter: cutoff K must be positive and finite"),
     (["split", "--input", MATRIX_2, "--K=1e400"], "invalid-parameter: cutoff K must be positive and finite"),
+    (["nev-eval", "--input", '{"op": "singular", "s": true}'],
+     "structure: bad expression JSON: expected a number, not True"),
+    (["nev-eval", "--input", '{"op": "singular", "s": "1"}'],
+     "structure: bad expression JSON: expected a number, not '1'"),
+    (["nev-eval", "--input", '{"op": "poly", "coeffs": [{"re": true}]}'],
+     "structure: bad expression JSON: expected a number, not True"),
+    (["nev-eval", "--input", '{"op": "blaschke", "a": {"re": 0.5, "im": "0"}}'],
+     "structure: bad expression JSON: expected a number, not '0'"),
+    (["nev-eval", "--input", '{"op": "rational", "num": [{"re": 1}], "den": [{"re": [1]}]}'],
+     "structure: bad expression JSON: expected a number, not [1]"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)

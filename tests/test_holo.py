@@ -225,6 +225,49 @@ def test_fixed_grid_means_keep_their_uniform_nodes():
     assert boundary_norm(c[4], 1 << 20) == 0.75625546044246  # two chunks
 
 
+def exp_nodes(radius, offset, m, lo, hi):
+    """The uniform nodes with one complex exp of the whole angle each: the reference."""
+    j = np.arange(lo, hi, dtype=float)
+    return radius * np.exp(2j * np.pi * (j + offset) / m), None
+
+
+@pytest.mark.parametrize("m", [16, 4096, holo._BLOCK, holo._BLOCK + 1, 3 * (1 << 19) + 5])
+@pytest.mark.parametrize("radius, offset", [(0.99, 0.0), (1.0, 0.5)])
+def test_the_first_block_of_uniform_nodes_is_one_exp_each(m, radius, offset):
+    # block 0 is radius * t[b] with t[b] the exp of the whole angle, so every
+    # grid of at most _BLOCK nodes keeps its bits, signed zeros included
+    n = min(m, holo._BLOCK)
+    z = holo._uniform_nodes(radius, offset, m, 0, n)[0]
+    assert z.tobytes() == exp_nodes(radius, offset, m, 0, n)[0].tobytes()
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).nmant < 63, reason="needs a 64-bit long double mantissa")
+@pytest.mark.parametrize("m", [1 << 14, (1 << 14) + 1, 3 * (1 << 19) + 5, 1 << 20])
+@pytest.mark.parametrize("offset", [0.0, 0.5])
+def test_uniform_nodes_lie_within_12_units_of_2_to_the_minus_53(m, offset):
+    # against e^{i theta} in long double, whose own error is about 2^-64; one
+    # complex exp of the whole angle reaches 10.9 units at m = 2^14 + 1, and
+    # the block rotations 10.1 at m = 3 * 2^19 + 5
+    pi = 4 * np.arctan(np.longdouble(1))
+    step = holo._CHUNK // 2  # ranges of many blocks, as the kernel's chunks are
+    for lo in range(0, m, step):
+        hi = min(lo + step, m)
+        z = holo._uniform_nodes(1.0, offset, m, lo, hi)[0]
+        theta = 2 * pi * (np.arange(lo, hi, dtype=np.longdouble) + offset) / m
+        assert np.hypot(z.real - np.cos(theta), z.imag - np.sin(theta)).max() <= 12 * 2.0 ** -53
+
+
+@pytest.mark.parametrize("k", [2, 6, 10])
+def test_radial_means_stay_within_u_over_1_minus_r_of_exp_nodes(k):
+    # nodes a few units of 2^-53 apart move the mean by about u / (1 - r)
+    # relative near a boundary singularity: 0.58 u / (1 - r) on 1/S_1 at
+    # k = 6 and 10, and less than u elsewhere in the corpus
+    r, m = 1 - 2.0 ** -k, 1 << 20
+    for f in nevanlinna_corpus():
+        ref = holo._mean_log1p_abs(f, partial(exp_nodes, r, 0.0), m)
+        assert abs(radial_mean(f, r, m) - ref) <= 4 * 2.0 ** -53 / (1 - r) * ref
+
+
 def test_radial_mean_parameter_validation():
     with pytest.raises(InvalidParameterError):
         radial_mean(constant(1), 1.0, 64)

@@ -79,6 +79,12 @@ OUT_OF_RANGE = {
     "separation at k 0": (lambda: logalg.separation_sequence(0), IPE, "k must"),
     "separation past 2^16": (lambda: logalg.separation_sequence(2 ** 16 + 1), IPE,
                              "k must be at most 65536"),
+    "radial mean on a float grid": (lambda: logalg.radial_mean(ONE(), 0.5, 64.0), IPE,
+                                    "grid size must be an int, not 64.0"),
+    "boundary norm on a fractional grid": (lambda: logalg.boundary_norm(ONE(), 64.5), IPE,
+                                           "grid size must be an int, not 64.5"),
+    "d_N on a string grid": (lambda: logalg.d_N(ONE(), ONE(), "64"), IPE,
+                             "grid size must be an int, not '64'"),
     "binary pow": (lambda: logalg.Binary("pow", ONE(), ONE()), StructureError,
                    "unknown expression op 'pow'"),
 }
