@@ -15,6 +15,7 @@ forming the phase.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
@@ -290,6 +291,13 @@ def from_json(obj: dict) -> HoloFunction:
 # ---------------------------------------------------------------------------
 # evaluation and quadrature
 
+def _param(x, kind, what: str):
+    """x if it is an instance of kind, a numbers ABC (numpy scalars register); else refused."""
+    if not isinstance(x, kind):
+        raise InvalidParameterError(f"{what}, not {x!r}")
+    return x
+
+
 def _refuse_overflow(ok: np.ndarray, start: int = 0) -> None:
     if not ok.all():
         raise InvalidParameterError(
@@ -308,7 +316,7 @@ def _values(f: HoloFunction, z: np.ndarray) -> np.ndarray:
 
 def evaluate(f: HoloFunction, z: complex) -> complex:
     """Value of f at a single point of the closed disk."""
-    if not abs(z) <= 1 + 1e-12:
+    if not abs(_param(z, numbers.Complex, "evaluation point must be a number")) <= 1 + 1e-12:
         raise InvalidParameterError("evaluation point must satisfy |z| <= 1")
     return complex(_values(f, np.asarray([z], dtype=complex))[0])
 
@@ -402,9 +410,7 @@ def _mean_log1p_abs(f: HoloFunction, nodes, m: int) -> float:
     depend on _BLOCK.  A grid size that is not an int, or of more than
     _SWEEP_M_MAX nodes, is refused before anything is evaluated.
     """
-    if not isinstance(m, (int, np.integer)):
-        raise InvalidParameterError(f"grid size must be an int, not {m!r}")
-    m = int(m)
+    m = int(_param(m, numbers.Integral, "grid size must be an int"))
     if m < 16:
         raise InvalidParameterError("grid size must be at least 16")
     if m > _SWEEP_M_MAX:
@@ -450,7 +456,7 @@ _boundary_nodes = partial(_uniform_nodes, 1.0, 0.5)
 
 def sweep_radii(k_max: int) -> tuple:
     """The radii r_k = 1 - 2^-k, k = 1..k_max, along which sweeps approach the circle."""
-    if not 1 <= k_max <= _SWEEP_K_MAX:
+    if not 1 <= _param(k_max, numbers.Integral, "k-max must be an int") <= _SWEEP_K_MAX:
         raise InvalidParameterError(
             f"k-max must be from 1 to {_SWEEP_K_MAX}: beyond it 1 - 2^-k rounds to 1")
     return tuple(1.0 - 2.0 ** -k for k in range(1, k_max + 1))
@@ -458,7 +464,7 @@ def sweep_radii(k_max: int) -> tuple:
 
 def radial_mean(f: HoloFunction, r: float, m: int) -> float:
     """Periodic trapezoid approximation of the circle mean of log(1 + |f|) at radius r."""
-    if not 0 <= r < 1:
+    if not 0 <= _param(r, numbers.Real, "radius must be a real number") < 1:
         raise InvalidParameterError("radius must lie in [0, 1)")
     return _mean_log1p_abs(f, partial(_uniform_nodes, r, 0.0), m)
 
@@ -515,7 +521,7 @@ def class_norm(f: HoloFunction, tol: float) -> ClassNormResult:
     unconverged.  It is a valid lower bound either way, the means being
     nondecreasing in r.
     """
-    if not tol > 0:
+    if not _param(tol, numbers.Real, "tol must be a real number") > 0:
         raise InvalidParameterError("tol must be positive")
     k_max = max(2, min(_SWEEP_K, math.ceil(math.log2(min(tol, 1.0))) + 51))
     radii, means, grids, points = sweep_radii(k_max), [], [], 0
@@ -565,7 +571,7 @@ def smirnov_defect(f: HoloFunction, tol: float = 1e-4) -> SmirnovResult:
     The gap vanishes exactly on the Smirnov subclass; it is clamped below
     at -tol since the radial supremum dominates the boundary integral.
     """
-    if not tol > 0:
+    if not _param(tol, numbers.Real, "tol must be a real number") > 0:
         raise InvalidParameterError("tol must be positive")
     b, *_ = _settled_mean(f, _boundary_nodes, 1024, 1 << 20, tol)
     cn = class_norm(f, tol)

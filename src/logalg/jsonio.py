@@ -21,6 +21,7 @@ _string = json.encoder.encode_basestring_ascii
 _TAILS = re.compile(r"e(?:\+15|\+308|-3)")  # a token that _float may rewrite
 _VECTOR_MIN = 2048  # floats from which _vector beats one %-format: it costs ~0.15 ms of numpy calls
 _BLOCK = 1 << 14    # floats per _vector call, so that its temporaries (~2 MB) stay in cache
+_NUMBERS = {int, float}  # the types of json.loads's numbers: a bool is neither
 
 
 def number(x):
@@ -28,6 +29,15 @@ def number(x):
     if isinstance(x, bool) or not isinstance(x, (int, float)):
         raise TypeError(f"expected a number, not {x!r}")
     return x
+
+
+def numbers(rows):
+    """rows, a list of tuples, if each item is an int or a float as json.loads makes them (no
+    bool); TypeError for the first that is not.  One set of types, not a number() call each."""
+    if not {type(x) for row in rows for x in row} <= _NUMBERS:
+        bad = next(x for row in rows for x in row if type(x) not in _NUMBERS)
+        raise TypeError(f"expected a number, not {bad!r}")
+    return rows
 
 
 def _float(x: float) -> str:

@@ -16,6 +16,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import jsonio
 from .errors import DomainMismatchError, InvalidParameterError, MalformedInputError
 
 
@@ -81,10 +82,13 @@ class StepFunction:
 
     @staticmethod
     def from_json(obj: dict) -> "StepFunction":
+        """Ends, values and total_measure must be JSON numbers; total_measure may be "inf"."""
         try:
-            tm = obj["total_measure"]  # "inf" too: the constructor takes float(tm)
-            pieces = [(p["l"], p["r"], complex(p["re"], p.get("im", 0.0)))
-                      for p in obj["pieces"]]
+            tm = obj["total_measure"]
+            if tm != "inf":
+                jsonio.number(tm)
+            rows = [(p["l"], p["r"], p["re"], p.get("im", 0.0)) for p in obj["pieces"]]
+            pieces = [(l, r, complex(re, im)) for l, r, re, im in jsonio.numbers(rows)]
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise MalformedInputError(f"bad StepFunction JSON: {exc}") from exc
         return StepFunction(pieces, tm)

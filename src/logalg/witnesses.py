@@ -215,15 +215,15 @@ class CauchyReport:
                 "limit_distance": self.limit_distance}
 
 
-def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
-    """Value-wise limit over the merged refinement of the whole sequence.
+def _piecewise_limit(last: list[StepFunction]) -> StepFunction:
+    """Value-wise limit of the last two or three members, on their merged refinement.
 
     Stabilized values are taken as-is; otherwise a geometric (Aitken)
-    extrapolation of the last three values is used, which is exact for
-    the truncation- and geometric-type sequences this targets.
+    extrapolation of the three values is used, which is exact for the
+    truncation- and geometric-type sequences this targets.
     """
     pieces = []
-    for a, b, values in _refine(seq):
+    for a, b, values in _refine(last):
         v = values[-1]
         if len(values) >= 3:
             d1 = values[-1] - values[-2]
@@ -234,16 +234,17 @@ def _piecewise_limit(seq: list[StepFunction]) -> StepFunction:
                     v = values[-1] + d1 * rho / (1 - rho)
         if v != 0:
             pieces.append((a, b, v))
-    return _computed(pieces, seq[0].total_measure)
+    return _computed(pieces, last[0].total_measure)
 
 
 def cauchy_limit(seq, tol: float):
     """Classify a finite sequence as Cauchy-or-not and extract its limit.
 
-    The sequence is declared Cauchy when some tail of successive dlog
-    distances sums below tol; the limit is then the value-wise limit on
-    the merged refinement.  Otherwise the last successive distance is
-    reported as the violating gap.
+    The sequence is declared Cauchy when its last successive dlog distance,
+    the least tail sum of the distances, is below tol.  The limit is then
+    the value-wise limit of the last three members, the only ones Aitken's
+    step reads.  Otherwise that distance is reported as the violating gap.
+    The work is linear in the sequence: one dlog per successive pair.
     """
     seq = list(seq)
     if len(seq) < 2:
@@ -256,8 +257,7 @@ def cauchy_limit(seq, tol: float):
             raise DomainMismatchError("sequence members live over different spaces")
 
     distances = [dlog(a, b) for a, b in zip(seq, seq[1:])]
-    is_cauchy = any(sum(distances[j:]) < tol for j in range(len(distances)))
-    if not is_cauchy:
+    if not distances[-1] < tol:
         return seq[-1], CauchyReport(tuple(distances), False, distances[-1], seq[-1], None)
-    limit = _piecewise_limit(seq)
+    limit = _piecewise_limit(seq[-3:])
     return limit, CauchyReport(tuple(distances), True, 0.0, limit, dlog(seq[-1], limit))

@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import logalg
@@ -87,6 +88,18 @@ OUT_OF_RANGE = {
                              "grid size must be an int, not '64'"),
     "binary pow": (lambda: logalg.Binary("pow", ONE(), ONE()), StructureError,
                    "unknown expression op 'pow'"),
+    "radial mean at a string radius": (lambda: logalg.radial_mean(ONE(), "0.5", 64), IPE,
+                                       "radius must be a real number, not '0.5'"),
+    "radial mean at no radius": (lambda: logalg.radial_mean(ONE(), None, 64), IPE,
+                                 "radius must be a real number, not None"),
+    "class norm at a string tol": (lambda: logalg.class_norm(ONE(), "1e-4"), IPE,
+                                   "tol must be a real number, not '1e-4'"),
+    "smirnov at a string tol": (lambda: logalg.smirnov_defect(ONE(), "1e-3"), IPE,
+                                "tol must be a real number, not '1e-3'"),
+    "sweep to a fractional k": (lambda: logalg.sweep_radii(6.5), IPE, "k-max must be an int, not 6.5"),
+    "sweep to a string k": (lambda: logalg.sweep_radii("6"), IPE, "k-max must be an int, not '6'"),
+    "evaluation at a string": (lambda: logalg.evaluate(ONE(), "0.5"), IPE,
+                               "evaluation point must be a number, not '0.5'"),
 }
 # main(), then whether numpy was loaded, on stderr
 VIA_MAIN = """
@@ -181,6 +194,14 @@ def test_each_constructor_refuses_invalid_data(build, error):
 def test_each_function_refuses_a_parameter_out_of_range(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_scalars_are_numbers_to_the_holo_entry_points():
+    f = logalg.constant(1.0)
+    assert logalg.radial_mean(f, np.float64(0.5), np.int64(64)) == logalg.radial_mean(f, 0.5, 64)
+    assert logalg.evaluate(f, np.complex128(0.5)) == logalg.evaluate(f, 0.5)
+    assert logalg.sweep_radii(np.int32(2)) == logalg.sweep_radii(2)
+    assert logalg.class_norm(f, np.float32(1e-2)).converged
 
 
 def test_the_only_make_methods_are_aliases_of_two_constructors():

@@ -291,6 +291,27 @@ def test_fnorm_axioms(f, g):
     assert lognorm(scale(f, 2.0 ** -50)) <= 1e-12
 
 
+NUMERIC_KEYS = ("l", "r", "re", "im")
+NOT_NUMBERS = [True, False, "0", "0.5", "1", None]
+
+
+@settings(max_examples=100, deadline=None)
+@given(step_functions(), st.data())
+def test_from_json_reads_only_json_numbers(f, data):
+    # a bool or a numeric string at any numeric position is refused;
+    # total_measure may also be the string "inf"
+    doc = f.to_json()
+    assert StepFunction.from_json(doc) == f
+    assert StepFunction.from_json(dict(doc, total_measure="inf")).total_measure == math.inf
+    if doc["pieces"] and data.draw(st.booleans()):
+        piece = data.draw(st.sampled_from(doc["pieces"]))
+        piece[data.draw(st.sampled_from(NUMERIC_KEYS))] = data.draw(st.sampled_from(NOT_NUMBERS + ["inf"]))
+    else:
+        doc["total_measure"] = data.draw(st.sampled_from(NOT_NUMBERS))
+    with pytest.raises(MalformedInputError, match="bad StepFunction JSON: expected a number"):
+        StepFunction.from_json(doc)
+
+
 @settings(max_examples=150, deadline=None)
 @given(step_functions(), step_functions(),
        st.floats(0.01, 20, allow_nan=False))

@@ -2,12 +2,13 @@ import dataclasses
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from logalg import (DomainMismatchError, InvalidParameterError, StepFunction,
-                    cauchy_limit, convex_split, dlog, lognorm, pointwise, restrict,
-                    scale, separation_sequence, truncate, unboundedness_witness)
+                    cauchy_limit, convex_split, dlog, jsonio, lognorm, pointwise, restrict,
+                    scale, separation_sequence, truncate, unboundedness_witness, witnesses)
+from logalg.stepfn import _computed, _refine
 from conftest import make_random_step
 from test_stepfn import _restrict_by_clip, grid_step_functions, step_functions
 
@@ -294,3 +295,103 @@ def test_cauchy_limit_overflow_is_an_invalid_parameter():
 def test_cauchy_domain_mismatch():
     with pytest.raises(DomainMismatchError):
         cauchy_limit([ONE, StepFunction.zero(2.0)], 1e-6)
+
+
+# The whole-sequence definitions that the checker replaced, kept as its oracle:
+# a tail of distances summing below tol, and the limit on the refinement of
+# every member.
+
+
+def _whole_piecewise_limit(seq):
+    pieces = []
+    for a, b, values in _refine(seq):
+        v = values[-1]
+        if len(values) >= 3:
+            d1 = values[-1] - values[-2]
+            d2 = values[-2] - values[-3]
+            if d1 != 0 and d2 != 0:
+                rho = d1 / d2
+                if abs(rho) < 1:
+                    v = values[-1] + d1 * rho / (1 - rho)
+        if v != 0:
+            pieces.append((a, b, v))
+    return _computed(pieces, seq[0].total_measure)
+
+
+def _whole_cauchy_limit(seq, tol):
+    distances = [dlog(a, b) for a, b in zip(seq, seq[1:])]
+    if not any(sum(distances[j:]) < tol for j in range(len(distances))):
+        return seq[-1], witnesses.CauchyReport(tuple(distances), False, distances[-1], seq[-1], None)
+    limit = _whole_piecewise_limit(seq)
+    return limit, witnesses.CauchyReport(tuple(distances), True, 0.0, limit, dlog(seq[-1], limit))
+
+
+def _printed(cauchy, seq, tol):
+    """The printed report and limit, or the error's type and message."""
+    try:
+        limit, report = cauchy(seq, tol)
+    except InvalidParameterError as exc:
+        return type(exc), str(exc)
+    return jsonio.dumps(report.to_json()), jsonio.dumps(limit.to_json())
+
+
+# zeros, signed zero parts, and values whose differences repeat
+VALUES = (0, -0.0, 1, complex(1, -0.0), complex(-0.0, 1), -1, 2j, 0.5, 0.25)
+
+
+@st.composite
+def member_sequences(draw):
+    """2 to 40 members drawn from a pool of up to 5, so that members repeat and alternate."""
+    pool = draw(st.lists(grid_step_functions(cells=8, values=VALUES) | step_functions(),
+                         min_size=1, max_size=5))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2, max_size=40))
+    return [pool[i] for i in picks]
+
+
+@st.composite
+def geometric_sequences(draw):
+    """v_k = c + d rho^k left of a breakpoint x_k that moves toward 1/2, c right of it."""
+    n = draw(st.integers(2, 40))
+    rho = draw(st.sampled_from([0.5, -0.5, 0.25, 0.9, 2.0 ** -20]))
+    c, d = draw(st.sampled_from(VALUES)), draw(st.sampled_from([1, -3, 0.5j, 1e10, 1e-300]))
+    xs = [0.5 + 2.0 ** -(k + 2) for k in range(n)] if draw(st.booleans()) else [0.5] * n
+    return [StepFunction.make([(0, x, c + d * rho ** k), (x, 1, c)], 1.0) for k, x in enumerate(xs)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_sequences() | geometric_sequences(),
+       st.sampled_from([1e-300, 1e-12, 1e-6, 1e-2, 0.3, 1.0, 100.0]))
+# the geometric extrapolation with ratio 1 - 2^-40 leaves the doubles
+@example([StepFunction.make([(0, 1e-300, v)], 1.0)
+          for v in (1e297, 2e297, 2e297 + 1e297 * (1 - 2.0 ** -40))], 1e-9)
+def test_cauchy_limit_prints_what_the_whole_sequence_gives(seq, tol):
+    # the last distance is the least tail sum, and between the last three
+    # members' breakpoints their values, and so the limit, are constant
+    assert _printed(cauchy_limit, seq, tol) == _printed(_whole_cauchy_limit, seq, tol)
+
+
+def test_cauchy_limit_refines_only_the_last_three_members(monkeypatch):
+    seq = [StepFunction.make([(0, 1 / k, 1.0)], 1.0) for k in range(1, 6001)]
+    refined = []
+
+    def counted(fns):
+        refined.append(len(fns))
+        return _refine(fns)
+
+    monkeypatch.setattr(witnesses, "_refine", counted)
+    limit, report = cauchy_limit(seq, 1e-6)
+    assert report.is_cauchy and limit == seq[-1]
+    assert refined == [3]
+
+
+def test_cauchy_classification_sums_no_tails(monkeypatch):
+    sums = []
+
+    def counted(*args):
+        sums.append(1)
+        return sum(*args)
+
+    monkeypatch.setattr(witnesses, "sum", counted, raising=False)
+    _, report = cauchy_limit([StepFunction.zero(1.0), ONE] * 10_000, 1e-6)
+    assert not report.is_cauchy and len(report.distances) == 19_999
+    assert len(sums) <= 1
