@@ -545,14 +545,6 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
     (["split", "--input", MATRIX_2, "--K=1e400"], "invalid-parameter: cutoff K must be positive and finite"),
     (["nev-eval", "--input", '{"op": "singular", "s": true}'],
      "structure: bad expression JSON: expected a number, not True"),
-    (["norm", "--input", '{"total_measure": true, "pieces": [{"l": 0, "r": true, "re": 2}]}'],
-     "malformed-input: bad StepFunction JSON: expected a number, not True"),
-    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": "0", "r": 0.5, "re": 2}]}'],
-     "malformed-input: bad StepFunction JSON: expected a number, not '0'"),
-    (["norm", "--input", '{"total_measure": "1", "pieces": []}'],
-     "malformed-input: bad StepFunction JSON: expected a number, not '1'"),
-    (["cauchy", "--input", '[%s, {"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": true}]}]'
-      % STEP_1], "malformed-input: bad StepFunction JSON: expected a number, not True"),
     (["nev-eval", "--input", '{"op": "singular", "s": "1"}'],
      "structure: bad expression JSON: expected a number, not '1'"),
     (["nev-eval", "--input", '{"op": "poly", "coeffs": [{"re": true}]}'],
@@ -561,6 +553,14 @@ OVERFLOWING = '{"n": 2, "re": [[1e308, 1e308], [1e308, 1e308]]}'  # sigma_max = 
      "structure: bad expression JSON: expected a number, not '0'"),
     (["nev-eval", "--input", '{"op": "rational", "num": [{"re": 1}], "den": [{"re": [1]}]}'],
      "structure: bad expression JSON: expected a number, not [1]"),
+    (["norm", "--input", '{"total_measure": true, "pieces": [{"l": 0, "r": true, "re": 2}]}'],
+     "malformed-input: bad StepFunction JSON: expected a number, not True"),
+    (["norm", "--input", '{"total_measure": 1, "pieces": [{"l": "0", "r": 0.5, "re": 2}]}'],
+     "malformed-input: bad StepFunction JSON: expected a number, not '0'"),
+    (["norm", "--input", '{"total_measure": "1", "pieces": []}'],
+     "malformed-input: bad StepFunction JSON: expected a number, not '1'"),
+    (["cauchy", "--input", '[%s, {"total_measure": 1, "pieces": [{"l": 0, "r": 1, "re": true}]}]'
+      % STEP_1], "malformed-input: bad StepFunction JSON: expected a number, not True"),
 ])
 def test_refused_input_exits_2_with_one_line(capsys, argv, prefix):
     status, out, err = run(capsys, *argv)
